@@ -428,18 +428,21 @@ def _resample(data: MarkerDataset, rng) -> MarkerDataset:
 
 
 def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
-                 cfg: FitConfig = FitConfig()) -> BootstrapSummary:
+                 cfg: FitConfig = FitConfig(),
+                 point: Optional[FitReport] = None) -> BootstrapSummary:
     """Stratified bootstrap standard errors for one method.
 
     Replicate r uses an independent generator seeded seed + r, so results do
     not depend on scheduling.  Coefficients are converted to unit Euclidean
     norm aligned with the point estimate before taking standard deviations
-    (replicates may anchor at different markers).  More than 10% failed
-    replicates aborts.
+    (replicates may anchor at different markers).  ``point`` is the caller's
+    fit of ``method`` on ``data`` with ``cfg``; it is fitted here when not
+    given.  More than 10% failed replicates aborts.
     """
     if B < 2:
         raise InvalidParameter(f"need B >= 2 bootstrap replicates, got {B}")
-    point = fit_method(data, method, cfg)
+    if point is None:
+        point = fit_method(data, method, cfg)
     reference = unit_norm_aligned(point.coefficients.beta)
 
     coefs = []

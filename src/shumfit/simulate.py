@@ -230,6 +230,7 @@ class MethodSummary:
     coef_sd: np.ndarray
     coef_bias: Optional[np.ndarray]
     n_failures: int
+    n_not_converged: int = 0            # fits whose polisher did not converge
     wall_clock: float = field(compare=False, default=0.0)
 
 
@@ -259,7 +260,7 @@ def _replicate_worker(args):
             out[method] = ("failed", str(exc), 0.0)
             continue
         out[method] = (report.ehum_at_solution,
-                       tuple(report.coefficients.beta), elapsed)
+                       tuple(report.coefficients.beta), elapsed, report.converged)
     return out
 
 
@@ -278,9 +279,11 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     EHUM summaries use each method's achieved empirical HUM.  Coefficient
     summaries are converted to the common anchored-ratio convention (anchor =
     smallest-spacing marker for the Gaussian scenarios, last marker for the
-    Weibull one) so bias columns are comparable to the oracle.  Aggregation
-    order is fixed by replicate index; worker count cannot change results.
-    More than 5% failed (replicate, method) fits aborts the study.
+    Weibull one) so bias columns are comparable to the oracle.  Fits whose
+    polisher stopped without converging still count, and are reported per
+    method as ``n_not_converged``.  Aggregation order is fixed by replicate
+    index; worker count cannot change results.  More than 5% failed
+    (replicate, method) fits aborts the study.
     """
     methods = list(methods)
     for m in methods:
@@ -302,7 +305,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     summaries = []
     n_failed_total = 0
     for method in methods:
-        ehums, coefs, elapsed, failures = [], [], 0.0, 0
+        ehums, coefs, elapsed, failures, not_converged = [], [], 0.0, 0, 0
         for rep in results:
             entry = rep[method]
             if entry[0] == "failed":
@@ -311,6 +314,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             ehums.append(entry[0])
             coefs.append(np.asarray(entry[1]))
             elapsed += entry[2]
+            not_converged += not entry[3]
         n_failed_total += failures
         if not ehums:
             raise StudyAborted(failures, cfg.replications)
@@ -339,6 +343,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             coef_sd=coef_sd,
             coef_bias=bias,
             n_failures=failures,
+            n_not_converged=not_converged,
             wall_clock=elapsed,
         ))
 

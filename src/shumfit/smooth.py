@@ -2,13 +2,33 @@
 
 The empirical HUM's indicator kernel is replaced by a scaled sigmoid or
 standard-normal CDF with bandwidth ``lam``; the smoothed objective factorizes
-over adjacent category pairs, so a chain of (n_{j+1} x n_j) kernel matrices
-evaluates it in O(sum n_j n_{j+1}) instead of O(prod n_j).  The gradient
-reuses the same chain via prefix/suffix partial products.
+over adjacent category pairs, so a chain of kernel-matrix products
+evaluates it without enumerating tuples.  The gradient reuses the same chain
+via prefix/suffix partial products.
+
+The chain never forms a kernel matrix.  Each call sorts every category's
+scores, so at each level the pairs (prev, cur) fall into three runs per cur
+score:
+
+- cur - prev > T*lam: the kernel rounds to 1 and is clamped to exactly
+  ``_HIGH``; a prefix sum over the sorted vector counts these pairs;
+- cur - prev < -T*lam: the kernel is below 1e-16 and the pair is dropped;
+- the band in between, the only pairs passed to ``kernel_eval`` and
+  ``kernel_deriv``, listed flat and summed with ``np.bincount``, in row
+  blocks of at most about ``_BLOCK`` pairs.
+
+T (``SATURATION``) is fixed by float rounding, not chosen: expit(36.8)
+already rounds to 1 and expit(-37) = 8.5e-17, ndtr(8.3) rounds to 1 and
+ndtr(-8.5) = 9.5e-18.  A dropped pair removes less than 1e-16 from each
+tuple product it enters, so the value moves by under 1e-16 in absolute
+terms.  Cost is O(sum n_j log n_j + band) time and O(n + _BLOCK) memory.
+The band holds the pairs within T*lam of each other: a small fraction of
+all pairs at the default lam = 1/sqrt(n), but every pair once lam is wide
+against the spread of the scores, where the time is quadratic again.
 
 Note the bandwidth chain rule: d/dx g(x/lam) carries a 1/lam factor, and the
 derivative kernels here include it.  Correctness is pinned by the
-finite-difference agreement tests rather than by any closed-form reference.
+finite-difference agreement tests and by a dense-matrix chain in the tests.
 """
 
 from __future__ import annotations
@@ -31,6 +51,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Kernel(enum.Enum):
     SIGMOID = "sigmoid"
     NORMAL = "normal"
+
+
+# |x/lam| beyond which the clamped kernel is exactly _HIGH (x > 0) or below
+# 1e-16 (x < 0); see the module docstring
+SATURATION = {Kernel.SIGMOID: 37.0, Kernel.NORMAL: 8.5}
+
+# band pairs per kernel call: bounds the chain's working memory, about 50
+# bytes a pair, at any bandwidth; n=1000 fits at the default lam stay within
+# one block per level (their widest band was 310k pairs)
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -87,16 +117,19 @@ def lambda_rule_check(data: MarkerDataset, beta, lam: float) -> float:
     """Fraction of adjacent-category cross pairs with |beta'(x-y)|/lam > 5.
 
     The smoothed objective tracks the empirical one well when this fraction
-    is near 1; callers warn below 0.9.
+    is near 1; callers warn below 0.9.  Counted over sorted scores, two
+    binary searches per level.
     """
     _check_lambda(lam)
-    scores = project_scores(data, beta)
+    scores = [np.sort(s) for s in project_scores(data, beta)]
+    reach = 5.0 * lam
     hits = 0
     total = 0
-    for j in range(len(scores) - 1):
-        diff = np.abs(scores[j + 1][:, None] - scores[j][None, :])
-        hits += int((diff / lam > 5.0).sum())
-        total += diff.size
+    for prev, cur in zip(scores, scores[1:]):
+        far_below = np.searchsorted(prev, cur - reach, side="left")
+        far_above = prev.size - np.searchsorted(prev, cur + reach, side="right")
+        hits += int(far_below.sum() + far_above.sum())
+        total += prev.size * cur.size
     return hits / total
 
 
@@ -104,12 +137,51 @@ def lambda_rule_check(data: MarkerDataset, beta, lam: float) -> float:
 # chain evaluation
 # ---------------------------------------------------------------------------
 
+def _band(prev, cur, reach: float):
+    """Split the pairs of one level by saturation, over sorted score vectors.
+
+    Returns ``(high, blocks)``.  ``prev[:high[r]]`` lies more than ``reach``
+    below ``cur[r]``, where the kernel is exactly ``_HIGH``; pairs more than
+    ``reach`` above are dropped.  ``blocks`` yields the band in between as
+    flat index arrays ``(rows, cols)``, one block of rows at a time.
+    """
+    high = np.searchsorted(prev, cur - reach, side="left")
+    width = np.searchsorted(prev, cur + reach, side="right") - high
+    return high, _blocks(high, width)
+
+
+def _blocks(high, width):
+    # row blocks of at most _BLOCK pairs plus one row; always at least one
+    ends = np.cumsum(width)
+    cuts = []
+    if ends[-1] > _BLOCK:
+        cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
+        cuts = np.unique(cuts[cuts > 0]).tolist()
+    bounds = [0, *cuts, width.size]
+    for a, b in zip(bounds, bounds[1:]):
+        w = width[a:b]
+        rows = np.repeat(np.arange(a, b), w)
+        cols = np.arange(rows.size) + np.repeat(high[a:b] - (np.cumsum(w) - w), w)
+        yield rows, cols
+
+
+def _chain_up(v, prev, cur, spec: SmoothingSpec):
+    """A @ v for one level: saturated pairs by prefix sum, the band by bincount."""
+    high, blocks = _band(prev, cur, SATURATION[spec.kernel] * spec.lam)
+    below = np.concatenate(([0.0], np.cumsum(v)))        # below[i] = v[:i].sum()
+    out = _HIGH * below[high]
+    for rows, cols in blocks:
+        k = kernel_eval(spec.kernel, cur[rows] - prev[cols], spec.lam)
+        out += np.bincount(rows, k * v[cols], cur.size)
+    return out
+
+
 def shum_from_scores(scores, spec: SmoothingSpec) -> float:
-    """Smoothed HUM of fixed score vectors via the adjacency-matrix chain."""
-    v = np.ones(len(scores[0]))
-    for j in range(1, len(scores)):
-        a = kernel_eval(spec.kernel, scores[j][:, None] - scores[j - 1][None, :], spec.lam)
-        v = a @ v
+    """Smoothed HUM of fixed score vectors via the banded sorted chain."""
+    ordered = [np.sort(s) for s in scores]
+    v = np.ones(ordered[0].size)
+    for prev, cur in zip(ordered, ordered[1:]):
+        v = _chain_up(v, prev, cur, spec)
     n_tuples = math.prod(len(s) for s in scores)
     return float(v.sum()) / n_tuples
 
@@ -125,34 +197,43 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     For each adjacent level l with kernel matrix A_l and derivative matrix
     G_l, prefix vectors u (chain below) and suffix vectors w (chain above)
     give the contribution (w * (G_l u))' X_{l+1}  -  ((G_l' w) * u)' X_l.
+    All of it runs in sorted order over the band of ``_band``; G_l is taken
+    as zero outside the band.  Column i of A_l is saturated at rows
+    r >= searchsorted(high, i, "right"), the pairs the row edges saturate.
+    The suffix pass evaluates each level's kernels block by block, so no
+    level's band is held whole.
     """
     scores = project_scores(data, beta)
     m = len(scores)
-    mats = []
-    derivs = []
-    for j in range(m - 1):
-        diff = scores[j + 1][:, None] - scores[j][None, :]
-        mats.append(kernel_eval(spec.kernel, diff, spec.lam))
-        derivs.append(kernel_deriv(spec.kernel, diff, spec.lam))
-
-    prefixes = [np.ones(len(scores[0]))]
+    order = [np.argsort(s, kind="stable") for s in scores]
+    ordered = [s[o] for s, o in zip(scores, order)]
+    prefixes = [np.ones(ordered[0].size)]
     for j in range(m - 2):
-        prefixes.append(mats[j] @ prefixes[-1])
-    suffixes = [None] * (m - 1)
-    w = np.ones(len(scores[m - 1]))
-    for j in range(m - 2, -1, -1):
-        suffixes[j] = w
-        if j > 0:
-            w = mats[j].T @ w
+        prefixes.append(_chain_up(prefixes[-1], ordered[j], ordered[j + 1], spec))
 
     grad = np.zeros(data.n_markers)
-    for level in range(m - 1):
-        g = derivs[level]
-        u = prefixes[level]
-        w = suffixes[level]
-        upper = w * (g @ u)
-        lower = (g.T @ w) * u
-        grad += upper @ data.categories[level + 1] - lower @ data.categories[level]
+    w = np.ones(ordered[m - 1].size)
+    for j in range(m - 2, -1, -1):
+        prev, cur, u = ordered[j], ordered[j + 1], prefixes[j]
+        high, blocks = _band(prev, cur, SATURATION[spec.kernel] * spec.lam)
+        g_u = np.zeros(cur.size)
+        gt_w = np.zeros(prev.size)
+        if j > 0:
+            saturated_from = np.searchsorted(high, np.arange(prev.size), side="right")
+            above = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))  # w[r:].sum()
+            w_next = _HIGH * above[saturated_from]
+        for rows, cols in blocks:
+            diff = cur[rows] - prev[cols]
+            g = kernel_deriv(spec.kernel, diff, spec.lam)
+            g_u += np.bincount(rows, g * u[cols], cur.size)
+            gt_w += np.bincount(cols, g * w[rows], prev.size)
+            if j > 0:
+                k = kernel_eval(spec.kernel, diff, spec.lam)
+                w_next += np.bincount(cols, k * w[rows], prev.size)
+        grad += ((w * g_u) @ data.categories[j + 1][order[j + 1]]
+                 - (gt_w * u) @ data.categories[j][order[j]])
+        if j > 0:
+            w = w_next
     n_tuples = math.prod(len(s) for s in scores)
     return grad / n_tuples
 

@@ -45,6 +45,48 @@ def shum_tuple_loop(scores, g):
     return total / n_tuples
 
 
+def dense_shum(scores, kernel, lam):
+    """Smoothed HUM by the dense chain: one full (n_{j+1} x n_j) kernel
+    matrix per adjacent level, multiplied into a running vector."""
+    from shumfit import kernel_eval
+
+    v = np.ones(len(scores[0]))
+    for j in range(1, len(scores)):
+        a = kernel_eval(kernel, scores[j][:, None] - scores[j - 1][None, :], lam)
+        v = a @ v
+    return float(v.sum()) / math.prod(len(s) for s in scores)
+
+
+def dense_shum_gradient(categories, beta, kernel, lam):
+    """Gradient of the dense-chain smoothed HUM w.r.t. beta, from full kernel
+    and derivative matrices with prefix and suffix matrix-vector products."""
+    from shumfit import kernel_deriv, kernel_eval
+
+    scores = [x @ beta for x in categories]
+    m = len(scores)
+    mats = []
+    derivs = []
+    for j in range(m - 1):
+        diff = scores[j + 1][:, None] - scores[j][None, :]
+        mats.append(kernel_eval(kernel, diff, lam))
+        derivs.append(kernel_deriv(kernel, diff, lam))
+    prefixes = [np.ones(len(scores[0]))]
+    for j in range(m - 2):
+        prefixes.append(mats[j] @ prefixes[-1])
+    suffixes = [None] * (m - 1)
+    w = np.ones(len(scores[m - 1]))
+    for j in range(m - 2, -1, -1):
+        suffixes[j] = w
+        if j > 0:
+            w = mats[j].T @ w
+    grad = np.zeros(len(beta))
+    for j in range(m - 1):
+        upper = suffixes[j] * (derivs[j] @ prefixes[j])
+        lower = (derivs[j].T @ suffixes[j]) * prefixes[j]
+        grad += upper @ categories[j + 1] - lower @ categories[j]
+    return grad / math.prod(len(s) for s in scores)
+
+
 def dot_scores(matrix, beta):
     """Element-by-element dot products, no matmul."""
     out = []

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,21 @@ def test_fit_end_to_end(tmp_path, capsys):
     assert len(emp["coefficients"]) == 2
     timings = json.loads(read(out / "timings.json"))
     assert timings["command"][0] == "fit"
+
+
+def test_fit_timings_hold_the_wall_time_of_the_fit(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code = cli.main([
+        "fit", "--data", str(csv), "--outcome", "outcome",
+        "--markers", "m1,m2", "--methods", "minmax,naive", "--out", str(out),
+    ])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    timings = json.loads(read(out / "timings.json"))
+    assert 0.0 <= timings["wall_clock_s"] <= elapsed
 
 
 def test_fit_csv_format_and_hash_line(tmp_path):
@@ -199,6 +215,7 @@ def test_simulate_end_to_end_and_byte_identity(tmp_path, capsys):
 
     summary = json.loads(read(out1 / "study_summary.json"))
     assert set(summary["methods"]) == {"naive", "minmax", "parametric"}
+    assert all(m["n_not_converged"] == 0 for m in summary["methods"].values())
     ehum_lines = read(out1 / "study_ehum.csv").decode().splitlines()
     assert ehum_lines[1] == "method,mean_ehum,sd_ehum,n_failures"
 

@@ -241,6 +241,27 @@ def test_bootstrap_is_deterministic_for_fixed_seed():
     assert a.convention == "unit_norm_aligned"
 
 
+def test_bootstrap_reuses_a_given_point_fit(monkeypatch):
+    rng = np.random.default_rng(14)
+    data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
+    point = fit_method(data, "minmax")
+    fitted = []
+    original = methods.fit_method
+
+    def counting(d, method, cfg=FitConfig()):
+        fitted.append(d is data)
+        return original(d, method, cfg)
+
+    monkeypatch.setattr(methods, "fit_method", counting)
+    given = bootstrap_se(data, "minmax", B=6, seed=99, point=point)
+    assert fitted == [False] * 6
+    fitted.clear()
+    own = bootstrap_se(data, "minmax", B=6, seed=99)
+    assert fitted == [True] + [False] * 6
+    np.testing.assert_array_equal(given.se_coefficients, own.se_coefficients)
+    assert given.se_ehum == own.se_ehum
+
+
 def test_bootstrap_differs_across_seeds():
     rng = np.random.default_rng(15)
     data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)

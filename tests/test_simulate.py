@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from shumfit import (
+    FitConfig,
+    OptimConfig,
     ScenarioConfig,
     ar1_cov,
     exchangeable_cov,
@@ -201,6 +203,15 @@ def test_run_study_single_replicate_warns_and_zeroes_sds():
     assert m.sd_ehum == 0.0
     assert m.coef_sd.tolist() == [0.0, 0.0, 0.0]
     assert m.n_failures == 0
+
+
+def test_run_study_counts_non_converged_fits():
+    cfg = ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=2)
+    capped = FitConfig(optim=OptimConfig(max_iterations=1))
+    by = run_study(cfg, ["sshum", "naive"], capped).by_method()
+    assert by["sshum"].n_not_converged == 2
+    assert by["naive"].n_not_converged == 0
+    assert run_study(cfg, ["sshum"]).by_method()["sshum"].n_not_converged == 0
 
 
 def test_run_study_aggregates_and_bias():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,22 @@ from shumfit import (
     kernel_eval,
     lambda_rule_check,
     shum_value,
+    smooth,
 )
 from shumfit.errors import NonPositiveLambda
-from shumfit.smooth import shum_from_scores, shum_gradient, shum_gradient_full
+from shumfit.simulate import ScenarioConfig, generate_scenario
+from shumfit.smooth import (
+    _HIGH,
+    SATURATION,
+    shum_from_scores,
+    shum_gradient,
+    shum_gradient_full,
+)
 
 from oracles import (
     central_difference,
+    dense_shum,
+    dense_shum_gradient,
     dot_scores,
     make_dataset,
     pair_rule_fraction,
@@ -158,3 +170,123 @@ def test_lambda_rule_check_matches_pair_fraction():
         )
         assert got == pytest.approx(want)
     assert lambda_rule_check(data, beta, 1e-6) == 1.0
+
+    # pairs exactly 5*lam apart do not count; lam and scores are dyadic, so
+    # every difference and quotient is exact
+    lam = 0.125
+    cats = tuple(np.array([[v] for v in vals]) for vals in
+                 ([0.0, 1.0], [0.625, 1.625, 3.0], [2.375, 3.625, 3.75]))
+    data = MarkerDataset(cats, ("a",), ("0", "1", "2"))
+    want = pair_rule_fraction([c[:, 0] for c in cats], lam)
+    assert lambda_rule_check(data, np.array([1.0]), lam) == want
+    assert want == 10 / 15   # four pairs sit exactly 5*lam apart
+
+
+# ---------------------------------------------------------------------------
+# banded chain against the dense chain
+# ---------------------------------------------------------------------------
+
+def _assert_matches_dense(data, beta, spec):
+    scores = [x @ beta for x in data.categories]
+    value = shum_from_scores(scores, spec)
+    # each dropped pair removes under 1e-16 from the tuple products it enters
+    assert value == pytest.approx(dense_shum(scores, spec.kernel, spec.lam),
+                                  rel=1e-12, abs=1e-16)
+    grad = shum_gradient_full(data, beta, spec)
+    want = dense_shum_gradient(data.categories, beta, spec.kernel, spec.lam)
+    # the dropped derivative entries, below 1e-16/lam, each enter two terms
+    # of one level, weighted by a marker value
+    x_max = max(np.abs(x).max() for x in data.categories)
+    floor = 2e-16 * (len(scores) - 1) * np.sqrt(beta.size) * x_max / spec.lam
+    assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want) + floor
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("m,sizes", [(3, (9, 14, 6)), (4, (7, 12, 5, 10))])
+def test_banded_chain_matches_dense_chain(kernel, m, sizes):
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng, m=m, sizes=sizes, d=3, spread=1.0)
+    lam = 0.05
+    for _ in range(10):
+        beta = rng.uniform(-10.0, 10.0, size=3)
+        _assert_matches_dense(data, beta, SmoothingSpec(kernel, lam))
+    for beta in ([10.0, -10.0, 10.0], [-10.0, -10.0, -10.0], [1.0, 0.0, 0.0]):
+        _assert_matches_dense(data, np.array(beta), SmoothingSpec(kernel, lam))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_banded_chain_with_ties(kernel):
+    rng = np.random.default_rng(22)
+    cats = tuple(np.round(rng.normal(0.3 * j, 1.0, size=(n, 2)), 1)
+                 for j, n in enumerate((11, 8, 13)))
+    data = MarkerDataset(cats, ("a", "b"), ("0", "1", "2"))
+    for beta in ([1.0, 0.0], [1.0, 1.0], [2.0, -1.0]):
+        _assert_matches_dense(data, np.array(beta), SmoothingSpec(kernel, 0.05))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_banded_chain_pairs_exactly_at_the_band_edge(kernel):
+    # dyadic lam: t*lam and every score below are exact, so pairs sit at
+    # exactly +t*lam and -t*lam, next to pairs one step inside and outside
+    lam = 0.0625
+    reach = SATURATION[kernel] * lam
+    step = 2.0 ** -10
+    base = np.array([0.0, 0.5, 1.0])
+    levels = [base,
+              np.concatenate([base + reach, base - reach, base + reach + step,
+                              base - reach - step, base + reach - step]),
+              np.concatenate([base + 2 * reach, base, base - step])]
+    cats = tuple(v[:, None] for v in levels)
+    data = MarkerDataset(cats, ("a",), ("0", "1", "2"))
+    _assert_matches_dense(data, np.array([1.0]), SmoothingSpec(kernel, lam))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_banded_chain_with_every_pair_in_the_band(kernel):
+    rng = np.random.default_rng(23)
+    data = make_dataset(rng, m=3, sizes=(10, 12, 9), d=2, spread=1.0)
+    beta = np.array([0.7, -0.4])
+    spread = max(np.ptp(np.concatenate([x @ beta for x in data.categories])), 1.0)
+    _assert_matches_dense(data, beta, SmoothingSpec(kernel, 10.0 * spread))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_banded_chain_matches_dense_chain_at_n1000(kernel):
+    data = generate_scenario(ScenarioConfig(1, (1000, 1000, 1000)), 0)
+    spec = SmoothingSpec(kernel, default_lambda(data.n_total))
+    for beta in ([1.0, 1.1, 1.2], [-0.3, 1.0, 0.4]):
+        _assert_matches_dense(data, np.array(beta), spec)
+
+
+def test_saturation_constants_pin_the_clamped_kernel():
+    for kernel, t in SATURATION.items():
+        for lam in (1.0, 0.1, 0.0183, 1e-3):
+            assert kernel_eval(kernel, t * lam, lam) == _HIGH
+            assert kernel_eval(kernel, -t * lam, lam) < 1e-16
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_banded_chain_in_small_blocks_matches_dense_chain(kernel, monkeypatch):
+    rng = np.random.default_rng(24)
+    data = make_dataset(rng, m=4, sizes=(30, 25, 40, 20), d=2, spread=0.5)
+    monkeypatch.setattr(smooth, "_BLOCK", 7)
+    for lam in (0.05, 100.0):
+        _assert_matches_dense(data, np.array([1.0, -0.6]), SmoothingSpec(kernel, lam))
+
+
+@pytest.mark.parametrize("fn", [shum_value, shum_gradient_full])
+@pytest.mark.parametrize("wide", [False, True])
+def test_chain_memory_stays_below_one_dense_matrix(fn, wide):
+    # at lam=100 every pair is in the band
+    n = 3000
+    data = generate_scenario(ScenarioConfig(1, (n, n, n)), 0)
+    lam = 100.0 if wide else default_lambda(data.n_total)
+    spec = SmoothingSpec(Kernel.SIGMOID, lam)
+    beta = np.array([1.0, 1.1, 1.2])
+    tracemalloc.start()
+    try:
+        fn(data, beta, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
