@@ -15,7 +15,9 @@ score:
 - cur - prev < -T*lam: the kernel is below 1e-16 and the pair is dropped;
 - the band in between, the only pairs passed to ``kernel_eval`` and
   ``kernel_deriv``, listed flat and summed with ``np.bincount``, in row
-  blocks of at most about ``_BLOCK`` pairs.
+  blocks of at most about ``_BLOCK`` pairs.  The band's index and
+  difference arrays live in one workspace per call (``_workspace``), so
+  repeated calls reuse their memory instead of page-faulting it in anew.
 
 T (``SATURATION``) is fixed by float rounding, not chosen: expit(36.8)
 already rounds to 1 and expit(-37) = 8.5e-17, ndtr(8.3) rounds to 1 and
@@ -36,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -86,24 +89,31 @@ def kernel_eval(kind: Kernel, x, lam: float):
     chain-matrix entries strictly inside (0,1) even under exponent underflow.
     """
     _check_lambda(lam)
-    t = np.asarray(x, dtype=float) / lam
+    t = np.asarray(np.divide(x, lam, dtype=float))   # 0-d for a scalar; the rest is in place
     if kind is Kernel.SIGMOID:
-        out = expit(t)
+        expit(t, out=t)
     else:
-        out = ndtr(t)
-    out = np.clip(out, _LOW, _HIGH)
-    return float(out) if np.isscalar(x) else out
+        ndtr(t, out=t)
+    np.clip(t, _LOW, _HIGH, out=t)
+    return float(t) if np.isscalar(x) else t
 
 
 def kernel_deriv(kind: Kernel, x, lam: float):
     """d/dx of kernel_eval, including the 1/lam bandwidth factor."""
     _check_lambda(lam)
-    t = np.asarray(x, dtype=float) / lam
+    t = np.asarray(np.divide(x, lam, dtype=float))
     if kind is Kernel.SIGMOID:
-        out = expit(t) * expit(-t) / lam
+        up = expit(t)
+        np.negative(t, out=t)
+        expit(t, out=t)
+        t *= up
+        t /= lam
     else:
-        out = np.exp(-0.5 * t * t) / (_SQRT_2PI * lam)
-    return float(out) if np.isscalar(x) else out
+        np.square(t, out=t)
+        t *= -0.5
+        np.exp(t, out=t)
+        t /= _SQRT_2PI * lam
+    return float(t) if np.isscalar(x) else t
 
 
 def default_lambda(n_total: int) -> float:
@@ -137,51 +147,98 @@ def lambda_rule_check(data: MarkerDataset, beta, lam: float) -> float:
 # chain evaluation
 # ---------------------------------------------------------------------------
 
-def _band(prev, cur, reach: float):
-    """Split the pairs of one level by saturation, over sorted score vectors.
+class _Band(NamedTuple):
+    """The pairs of one level, split by saturation over sorted score vectors.
 
-    Returns ``(high, blocks)``.  ``prev[:high[r]]`` lies more than ``reach``
-    below ``cur[r]``, where the kernel is exactly ``_HIGH``; pairs more than
-    ``reach`` above are dropped.  ``blocks`` yields the band in between as
-    flat index arrays ``(rows, cols)``, one block of rows at a time.
+    ``prev[:high[r]]`` lies more than T*lam below ``cur[r]``, where the
+    kernel is exactly ``_HIGH``; ``prev[high[r]:high[r] + width[r]]`` is the
+    band of row r; the pairs above it are dropped.  ``bounds`` cuts the rows
+    into blocks of at most ``_BLOCK`` pairs plus one row, at least one block.
     """
-    high = np.searchsorted(prev, cur - reach, side="left")
-    width = np.searchsorted(prev, cur + reach, side="right") - high
-    return high, _blocks(high, width)
+
+    high: np.ndarray
+    width: np.ndarray
+    starts: np.ndarray          # flat position of row r's first pair; starts[-1] = all pairs
+    shift: np.ndarray           # high - starts[:-1]: a pair's col minus its flat position
+    bounds: list
+
+    def size(self, a: int, b: int) -> int:
+        """Pairs in the block of rows a .. b-1."""
+        return int(self.starts[b] - self.starts[a])
+
+    def blocks(self):
+        return zip(self.bounds, self.bounds[1:])
 
 
-def _blocks(high, width):
-    # row blocks of at most _BLOCK pairs plus one row; always at least one
-    ends = np.cumsum(width)
-    cuts = []
-    if ends[-1] > _BLOCK:
-        cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
-        cuts = np.unique(cuts[cuts > 0]).tolist()
-    bounds = [0, *cuts, width.size]
-    for a, b in zip(bounds, bounds[1:]):
-        w = width[a:b]
-        rows = np.repeat(np.arange(a, b), w)
-        cols = np.arange(rows.size) + np.repeat(high[a:b] - (np.cumsum(w) - w), w)
-        yield rows, cols
+def _bands(ordered, spec: SmoothingSpec):
+    reach = SATURATION[spec.kernel] * spec.lam
+    bands = []
+    for prev, cur in zip(ordered, ordered[1:]):
+        high = np.searchsorted(prev, cur - reach, side="left")
+        width = np.searchsorted(prev, cur + reach, side="right") - high
+        starts = np.concatenate(([0], np.cumsum(width)))
+        cuts = []
+        if starts[-1] > _BLOCK:
+            cuts = np.searchsorted(starts[1:], np.arange(_BLOCK, starts[-1], _BLOCK), side="right")
+            cuts = np.unique(cuts[cuts > 0]).tolist()
+        bands.append(_Band(high, width, starts, high - starts[:-1], [0, *cuts, width.size]))
+    return bands
 
 
-def _chain_up(v, prev, cur, spec: SmoothingSpec):
+def _workspace(bands):
+    """Room for the four per-pair arrays of the largest block of any level.
+
+    One allocation per chain call, shared by every block of every level.
+    Given a dozen band-sized temporaries per block instead, malloc hands
+    their memory back to the system at the end of each call and the next
+    call page-faults it in again: at n=1000, 2,200 faults and two fifths of
+    the time of a value call.  With the band's arrays in one allocation at
+    least twice the size of the kernel arrays alive beside it, malloc keeps
+    the memory from call to call.
+    """
+    size = max(band.size(a, b) for band in bands for a, b in band.blocks())
+    return np.empty((4, size))
+
+
+def _pairs(prev, cur, band: _Band, a: int, b: int, work):
+    """The band pairs of rows a .. b-1 as views into ``work``.
+
+    Returns ``(rows, cols, diff, spare)``: the flat row and column indices
+    of the pairs, ``diff = cur[rows] - prev[cols]``, and a float array of
+    the same length for the caller's products.
+    """
+    m = band.size(a, b)
+    width = band.width[a:b]
+    rows, cols = work[:2, :m].view(np.intp)              # float64 and intp are both 8 bytes
+    diff, spare = work[2, :m], work[3, :m]
+    # Each temporary is copied into the workspace and dropped at once, so
+    # few band-sized arrays are alive beside it.
+    rows[:] = np.repeat(np.arange(a, b), width)
+    np.add(np.repeat(band.shift[a:b], width), np.arange(band.starts[a], band.starts[b]), out=cols)
+    np.subtract(np.repeat(cur[a:b], width), prev[cols], out=diff)
+    return rows, cols, diff, spare
+
+
+def _chain_up(v, prev, cur, band: _Band, work, spec: SmoothingSpec):
     """A @ v for one level: saturated pairs by prefix sum, the band by bincount."""
-    high, blocks = _band(prev, cur, SATURATION[spec.kernel] * spec.lam)
     below = np.concatenate(([0.0], np.cumsum(v)))        # below[i] = v[:i].sum()
-    out = _HIGH * below[high]
-    for rows, cols in blocks:
-        k = kernel_eval(spec.kernel, cur[rows] - prev[cols], spec.lam)
-        out += np.bincount(rows, k * v[cols], cur.size)
+    out = _HIGH * below[band.high]
+    for a, b in band.blocks():
+        rows, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
+        k = kernel_eval(spec.kernel, diff, spec.lam)
+        k *= np.take(v, cols, out=spare, mode="clip")
+        out += np.bincount(rows, k, cur.size)
     return out
 
 
 def shum_from_scores(scores, spec: SmoothingSpec) -> float:
     """Smoothed HUM of fixed score vectors via the banded sorted chain."""
     ordered = [np.sort(s) for s in scores]
+    bands = _bands(ordered, spec)
+    work = _workspace(bands)
     v = np.ones(ordered[0].size)
-    for prev, cur in zip(ordered, ordered[1:]):
-        v = _chain_up(v, prev, cur, spec)
+    for prev, cur, band in zip(ordered, ordered[1:], bands):
+        v = _chain_up(v, prev, cur, band, work, spec)
     n_tuples = math.prod(len(s) for s in scores)
     return float(v.sum()) / n_tuples
 
@@ -197,7 +254,7 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     For each adjacent level l with kernel matrix A_l and derivative matrix
     G_l, prefix vectors u (chain below) and suffix vectors w (chain above)
     give the contribution (w * (G_l u))' X_{l+1}  -  ((G_l' w) * u)' X_l.
-    All of it runs in sorted order over the band of ``_band``; G_l is taken
+    All of it runs in sorted order over the band of ``_Band``; G_l is taken
     as zero outside the band.  Column i of A_l is saturated at rows
     r >= searchsorted(high, i, "right"), the pairs the row edges saturate.
     The suffix pass evaluates each level's kernels block by block, so no
@@ -207,29 +264,38 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     m = len(scores)
     order = [np.argsort(s, kind="stable") for s in scores]
     ordered = [s[o] for s, o in zip(scores, order)]
+    bands = _bands(ordered, spec)
+    work = _workspace(bands)
     prefixes = [np.ones(ordered[0].size)]
     for j in range(m - 2):
-        prefixes.append(_chain_up(prefixes[-1], ordered[j], ordered[j + 1], spec))
+        prefixes.append(_chain_up(prefixes[-1], ordered[j], ordered[j + 1], bands[j], work, spec))
 
     grad = np.zeros(data.n_markers)
     w = np.ones(ordered[m - 1].size)
     for j in range(m - 2, -1, -1):
-        prev, cur, u = ordered[j], ordered[j + 1], prefixes[j]
-        high, blocks = _band(prev, cur, SATURATION[spec.kernel] * spec.lam)
+        prev, cur, u, band = ordered[j], ordered[j + 1], prefixes[j], bands[j]
         g_u = np.zeros(cur.size)
         gt_w = np.zeros(prev.size)
         if j > 0:
-            saturated_from = np.searchsorted(high, np.arange(prev.size), side="right")
+            saturated_from = np.searchsorted(band.high, np.arange(prev.size), side="right")
             above = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))  # w[r:].sum()
             w_next = _HIGH * above[saturated_from]
-        for rows, cols in blocks:
-            diff = cur[rows] - prev[cols]
+        for a, b in band.blocks():
+            rows, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
             g = kernel_deriv(spec.kernel, diff, spec.lam)
-            g_u += np.bincount(rows, g * u[cols], cur.size)
-            gt_w += np.bincount(cols, g * w[rows], prev.size)
             if j > 0:
                 k = kernel_eval(spec.kernel, diff, spec.lam)
-                w_next += np.bincount(cols, k * w[rows], prev.size)
+            w_rows = np.take(w, rows, out=diff, mode="clip")      # diff is no longer needed
+            u_cols = np.take(u, cols, out=spare, mode="clip")
+            u_cols *= g
+            g_u += np.bincount(rows, u_cols, cur.size)
+            g *= w_rows
+            gt_w += np.bincount(cols, g, prev.size)
+            if j > 0:
+                k *= w_rows
+                w_next += np.bincount(cols, k, prev.size)
+                del k
+            del g       # before the next block's kernels: see _workspace
         grad += ((w * g_u) @ data.categories[j + 1][order[j + 1]]
                  - (gt_w * u) @ data.categories[j][order[j]])
         if j > 0:

@@ -1,3 +1,5 @@
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -290,3 +292,23 @@ def test_chain_memory_stays_below_one_dense_matrix(fn, wide):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's malloc")
+@pytest.mark.parametrize("fn", [shum_value, shum_gradient_full])
+def test_repeated_chain_calls_reuse_their_memory(fn):
+    # given a dozen fresh band-sized temporaries per block, malloc hands the
+    # memory back at the end of every call and the next call page-faults it
+    # in again: about 2,200 faults per value call and 3,500 per gradient
+    # call at n=1000, and a fifth to two fifths of their time
+    data = generate_scenario(ScenarioConfig(1, (1000, 1000, 1000)), 0)
+    spec = SmoothingSpec(Kernel.SIGMOID, default_lambda(data.n_total))
+    beta = np.array([1.0, 1.1, 1.2])
+    for _ in range(3):
+        fn(data, beta, spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        fn(data, beta, spec)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10 * 100
