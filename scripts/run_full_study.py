@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from shumfit import ScenarioConfig, run_study, true_beta_oracle
+from shumfit import METHODS, ScenarioConfig, run_study, true_beta_oracle
 from shumfit.cli import STUDY_METHODS
 
 
@@ -40,7 +40,7 @@ def print_block(cfg, summary, methods):
         s = by[m]
         print(f"{m:<12}{s.mean_ehum:>12.4f}{s.sd_ehum:>10.4f}{s.n_failures:>10d}")
 
-    ratio_methods = [m for m in methods if m not in ("minmax", "naive")]
+    ratio_methods = [m for m in methods if METHODS[m].ratio]
     if cfg.scenario_id != 4:
         truth = true_beta_oracle(cfg).beta
         print("oracle ratios:", np.round(truth, 4))

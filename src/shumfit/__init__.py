@@ -29,6 +29,7 @@ from .hum import (
 )
 from .methods import (
     METHOD_NAMES,
+    METHODS,
     BootstrapSummary,
     FitConfig,
     FitReport,

@@ -27,6 +27,7 @@ from .errors import ShumFitError, StudyAborted
 from .hum import ehum_fast, random_guess_baseline
 from .methods import (
     METHOD_NAMES,
+    METHODS,
     FitConfig,
     bootstrap_se,
     fit_method,
@@ -171,7 +172,7 @@ def cmd_fit(args):
         except (ShumFitError, np.linalg.LinAlgError) as exc:
             return _fail(f"fit failed for method {method}: {exc}", 3)
         reports[method] = report
-        if auto_lam and method in ("sshum", "nshum"):
+        if auto_lam and METHODS[method].kernel is not None:
             frac = lambda_rule_check(data, report.coefficients.beta, lam)
             msg = f"lambda rule check ({method}): {frac:.3f} of adjacent pairs exceed 5*lambda"
             print(msg, file=sys.stderr)
@@ -225,8 +226,7 @@ def cmd_fit(args):
         rows = []
         for method, report in reports.items():
             unit = unit_norm_aligned(report.coefficients.beta)
-            # minmax coefficients live on the derived (max, min) features
-            names = ("max", "min") if method == "minmax" else data.marker_names
+            names = METHODS[method].features or data.marker_names
             for name, value in zip(names, unit):
                 rows.append([method, name, float(value)])
             rows.append([method, "ehum", report.ehum_at_solution])
@@ -247,7 +247,7 @@ def cmd_fit(args):
 
 def _print_fit_table(data, reports):
     methods = list(reports)
-    dim_methods = [m for m in methods if m != "minmax"]
+    dim_methods = [m for m in methods if METHODS[m].features is None]
     width = max(12, *(len(m) + 2 for m in methods))
     if dim_methods:
         print("coefficients (unit norm)")
@@ -260,7 +260,8 @@ def _print_fit_table(data, reports):
     for m in methods:
         if m not in dim_methods:
             beta = reports[m].coefficients.beta
-            print(f"{m}: max + ({beta[1]:.3f}) * min, "
+            first, second = METHODS[m].features
+            print(f"{m}: {first} + ({beta[1]:.3f}) * {second}, "
                   f"ehum {reports[m].ehum_at_solution:.3f}")
     print(f"{'ehum':<12}" + "".join(
         f"{reports[m].ehum_at_solution:>{width}.3f}" for m in dim_methods))

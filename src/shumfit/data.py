@@ -20,6 +20,7 @@ from .errors import (
     FewerThanTwoCategories,
     IndexOutOfRange,
     MissingColumn,
+    ShumFitError,
     UnparseableNumeric,
 )
 
@@ -67,7 +68,7 @@ class MarkerDataset:
             if x.shape[0] < 1:
                 raise EmptyCategory(label)
             if not np.isfinite(x).all():
-                raise UnparseableNumeric(-1, f"non-finite entry in category {label!r}")
+                raise ShumFitError(f"a marker value in category {label!r} is non-finite")
 
     @property
     def n_categories(self) -> int:

@@ -41,24 +41,13 @@ from .smooth import (
     shum_value,
 )
 
-SMOOTH_KINDS = ("sshum", "nshum")
-METHOD_NAMES = (
-    "sshum", "nshum", "empirical", "parametric", "minmax", "frechet", "naive",
-)
-
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs shared by the fitters.
-
-    ``lam=None`` means the 1/sqrt(total n) rule; ``parametric_mode`` "auto"
-    picks the 3-category integral when applicable, the closed form otherwise.
-    """
+    """Knobs shared by the fitters; ``lam=None`` means the 1/sqrt(total n) rule."""
 
     lam: Optional[float] = None
     optim: OptimConfig = field(default_factory=OptimConfig)
-    parametric_mode: str = "auto"        # auto | closed_form | integral
-    frechet_bound: str = "upper"         # upper | lower
 
 
 @dataclass(frozen=True)
@@ -79,6 +68,16 @@ class FitReport:
     iterations: int
     converged: bool
     bootstrap: Optional[BootstrapSummary] = None
+
+
+@dataclass(frozen=True)
+class Method:
+    """A fitter ``fit(data, cfg) -> FitReport`` and its method's properties."""
+
+    fit: Callable
+    kernel: Optional[Kernel] = None     # a smoothed objective's kernel: BFGS polish
+    ratio: bool = True                  # study summaries divide by the anchor coefficient
+    features: Optional[tuple] = None    # derived features the coefficients act on
 
 
 def _smoothing(data: MarkerDataset, cfg: FitConfig, kernel: Kernel) -> SmoothingSpec:
@@ -118,18 +117,18 @@ def polish_bfgs(data: MarkerDataset, objective_kind: str, beta_init,
                 anchor_index: int, cfg: FitConfig) -> OptimResult:
     """Simultaneous quasi-Newton refinement of all free coefficients.
 
-    Only the smooth objectives are eligible; the empirical and bound
-    objectives are piecewise constant and belong to the simplex polisher.
-    Returns the better of the refined point and the start.
+    Only methods with a smoothing ``kernel`` in :data:`METHODS` are
+    eligible; the empirical and bound objectives are piecewise constant and
+    belong to the simplex polisher.  BFGS evaluates the start first and only
+    accepts ascent steps, so the result is never worse than the start.
     """
-    if objective_kind not in SMOOTH_KINDS:
+    entry = METHODS.get(objective_kind)
+    if entry is None or entry.kernel is None:
         raise SmoothObjectiveRequired(
             f"cannot run gradient polish on objective {objective_kind!r}"
         )
-    kernel = Kernel.SIGMOID if objective_kind == "sshum" else Kernel.NORMAL
-    spec = _smoothing(data, cfg, kernel)
-    beta_init = np.asarray(beta_init, dtype=float)
-    theta0 = np.delete(beta_init, anchor_index)
+    spec = _smoothing(data, cfg, entry.kernel)
+    theta0 = np.delete(np.asarray(beta_init, dtype=float), anchor_index)
 
     def f_and_grad(theta):
         beta = anchored_to_full(theta, anchor_index)
@@ -138,23 +137,7 @@ def polish_bfgs(data: MarkerDataset, objective_kind: str, beta_init,
             shum_gradient(data, beta, spec, anchor_index),
         )
 
-    res = bfgs_maximize(f_and_grad, theta0, cfg.optim)
-    v0 = shum_value(data, beta_init, spec)
-    if res.value >= v0:
-        return res
-    return OptimResult(theta0, v0, res.iterations, res.converged, res.gradient_norm)
-
-
-def _polish_nm(data: MarkerDataset, score_objective: Callable, beta_init,
-               anchor_index: int, cfg: FitConfig) -> OptimResult:
-    beta_init = np.asarray(beta_init, dtype=float)
-    theta0 = np.delete(beta_init, anchor_index)
-
-    def f(theta):
-        beta = anchored_to_full(theta, anchor_index)
-        return score_objective(project_scores(data, beta))
-
-    return nelder_mead_maximize(f, theta0, cfg.optim)
+    return bfgs_maximize(f_and_grad, theta0, cfg.optim)
 
 
 def _report(data, method, beta, anchor, objective_value, iterations, converged) -> FitReport:
@@ -168,18 +151,31 @@ def _report(data, method, beta, anchor, objective_value, iterations, converged) 
     )
 
 
+def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
+                           score_objective: Callable, label: str) -> FitReport:
+    """Step-down, then BFGS on a smoothed objective or Nelder-Mead otherwise."""
+    sd = step_down(score_objective, data)
+    anchor = sd.anchor_index
+    if METHODS[method].kernel is not None:
+        res = polish_bfgs(data, method, sd.beta, anchor, cfg)
+    else:
+        def f(theta):
+            return score_objective(project_scores(data, anchored_to_full(theta, anchor)))
+
+        res = nelder_mead_maximize(f, np.delete(sd.beta, anchor), cfg.optim)
+    beta = anchored_to_full(res.argmax, anchor)
+    return _report(data, label, beta, anchor, res.value, res.iterations,
+                   res.converged)
+
+
 # ---------------------------------------------------------------------------
 # the six methods
 # ---------------------------------------------------------------------------
 
 def _fit_smooth(data: MarkerDataset, cfg: FitConfig, kind: str) -> FitReport:
-    kernel = Kernel.SIGMOID if kind == "sshum" else Kernel.NORMAL
-    spec = _smoothing(data, cfg, kernel)
-    sd = step_down(lambda s: shum_from_scores(s, spec), data, cfg.optim)
-    res = polish_bfgs(data, kind, sd.beta, sd.anchor_index, cfg)
-    beta = anchored_to_full(res.argmax, sd.anchor_index)
-    return _report(data, kind, beta, sd.anchor_index, res.value,
-                   res.iterations, res.converged)
+    spec = _smoothing(data, cfg, METHODS[kind].kernel)
+    return _step_down_then_polish(data, cfg, kind,
+                                  lambda s: shum_from_scores(s, spec), kind)
 
 
 def fit_sshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -199,29 +195,23 @@ def fit_empirical(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitRepor
     polish over all free coefficients (the objective is piecewise constant,
     so improvement over the start is a weak inequality).
     """
-    sd = step_down(_ehum_objective, data, cfg.optim)
-    res = _polish_nm(data, _ehum_objective, sd.beta, sd.anchor_index, cfg)
-    beta = anchored_to_full(res.argmax, sd.anchor_index)
-    return _report(data, "empirical", beta, sd.anchor_index, res.value,
-                   res.iterations, res.converged)
+    return _step_down_then_polish(data, cfg, "empirical", _ehum_objective,
+                                  "empirical")
 
 
 def fit_frechet(data: MarkerDataset, cfg: FitConfig = FitConfig(),
-                bound: Optional[str] = None) -> FitReport:
+                bound: str = "upper") -> FitReport:
     """Maximize a HUM envelope: upper = min adjacent AUC, lower = average.
 
     The upper bound is the default reporting choice; either way the report's
     ehum_at_solution is the exact empirical HUM at the solution.
     """
-    bound = (bound or cfg.frechet_bound).lower()
+    bound = bound.lower()
     if bound not in ("upper", "lower"):
         raise InvalidParameter(f"unknown bound {bound!r}")
     objective = min_adjacent_auc if bound == "upper" else average_adjacent_auc
-    sd = step_down(objective, data, cfg.optim)
-    res = _polish_nm(data, objective, sd.beta, sd.anchor_index, cfg)
-    beta = anchored_to_full(res.argmax, sd.anchor_index)
-    return _report(data, f"frechet_{bound}", beta, sd.anchor_index, res.value,
-                   res.iterations, res.converged)
+    return _step_down_then_polish(data, cfg, "frechet", objective,
+                                  f"frechet_{bound}")
 
 
 def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -234,7 +224,7 @@ def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     def f(coef):
         return ehum_fast([hi + coef * lo for hi, lo in zip(maxima, minima)]).value
 
-    res = brent_maximize_1d(f, cfg.optim)
+    res = brent_maximize_1d(f)
     coef = float(res.argmax[0])
     return FitReport(
         method="minmax",
@@ -247,7 +237,7 @@ def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
 
 
 def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
-                          mode: Optional[str] = None) -> FitReport:
+                          mode: str = "auto") -> FitReport:
     """Normal-model combination: closed form or 3-category integral.
 
     ClosedForm solves pooled_cov @ x = mean adjacent mean-difference (the
@@ -255,8 +245,10 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
     plugs per-category moments into the Gaussian ordering probability,
     evaluated by 201-node Gauss-Legendre quadrature on [-8, 8], and maximizes
     it by BFGS with finite-difference gradients from the closed-form start.
+    ``mode="auto"`` picks the integral for 3 categories, the closed form
+    otherwise.
     """
-    mode = (mode or cfg.parametric_mode).lower()
+    mode = mode.lower()
     if mode == "auto":
         mode = "integral" if data.n_categories == 3 else "closed_form"
     if mode not in ("closed_form", "integral"):
@@ -265,12 +257,12 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
     beta_cf = _closed_form_direction(data)
     beta_cf, anchor = _anchor_preserving_orientation(beta_cf)
     if mode == "closed_form" or data.n_markers == 1:
-        scores = project_scores(data, beta_cf)
+        value = _ehum_at(data, beta_cf)
         return FitReport(
             method="parametric",
             coefficients=Coefficients(beta_cf, anchor),
-            ehum_at_solution=ehum_fast(scores).value,
-            objective_at_solution=ehum_fast(scores).value,
+            ehum_at_solution=value,
+            objective_at_solution=value,
             iterations=0,
             converged=True,
         )
@@ -397,25 +389,33 @@ def _central_fd(f, theta, step=1e-6) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bootstrap
+# the method table
 # ---------------------------------------------------------------------------
 
-_FITTERS = {
-    "sshum": fit_sshum,
-    "nshum": fit_nshum,
-    "empirical": fit_empirical,
-    "parametric": fit_parametric_normal,
-    "minmax": fit_minmax,
-    "frechet": fit_frechet,
-    "naive": lambda data, cfg: fit_naive(data),
+# Order matters: METHOD_NAMES is the default ``fit --methods``, which enters
+# the manifest hash.
+METHODS = {
+    "sshum": Method(fit_sshum, kernel=Kernel.SIGMOID),
+    "nshum": Method(fit_nshum, kernel=Kernel.NORMAL),
+    "empirical": Method(fit_empirical),
+    "parametric": Method(fit_parametric_normal),
+    "minmax": Method(fit_minmax, ratio=False, features=("max", "min")),
+    "frechet": Method(fit_frechet),
+    "naive": Method(lambda data, cfg: fit_naive(data), ratio=False),
 }
+METHOD_NAMES = tuple(METHODS)
 
 
 def fit_method(data: MarkerDataset, method: str, cfg: FitConfig = FitConfig()) -> FitReport:
-    """Dispatch a fit by method name (see METHOD_NAMES)."""
-    if method not in _FITTERS:
+    """Dispatch a fit by method name (see METHODS)."""
+    if method not in METHODS:
         raise InvalidParameter(f"unknown method {method!r}")
-    return _FITTERS[method](data, cfg)
+    return METHODS[method].fit(data, cfg)
+
+
+# ---------------------------------------------------------------------------
+# bootstrap
+# ---------------------------------------------------------------------------
 
 
 def _resample(data: MarkerDataset, rng) -> MarkerDataset:

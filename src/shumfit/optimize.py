@@ -6,11 +6,16 @@ gradients; Nelder-Mead handles the piecewise-constant empirical objectives;
 the 1-D search runs a dense grid pre-scan (multi-modal slices are common for
 empirical HUM) before local refinement.  Everything is deterministic:
 identical inputs and config give bit-identical results.
+
+``OptimConfig.max_iterations`` is the one setting callers choose.  The rest
+are module constants: GRAD_TOL, REL_OBJ_TOL, ARMIJO_C and BACKTRACK (BFGS);
+NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK and NM_DIAMETER_TOL
+(Nelder-Mead); BRENT_HALF_WIDTH and GRID_POINTS (the 1-D grid pre-scan).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,22 +24,22 @@ from scipy.optimize import minimize_scalar
 from .errors import NonFiniteObjective
 
 _MAX_BACKTRACKS = 60
+GRAD_TOL = 1e-6                   # sup-norm on the gradient
+REL_OBJ_TOL = 1e-10               # relative objective stagnation
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+NM_REFLECT = 1.0
+NM_EXPAND = 2.0
+NM_CONTRACT = 0.5
+NM_SHRINK = 0.5
+NM_DIAMETER_TOL = 1e-8
+BRENT_HALF_WIDTH = 10.0
+GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
 class OptimConfig:
     max_iterations: int = 500
-    grad_tol: float = 1e-6            # sup-norm on the gradient
-    rel_obj_tol: float = 1e-10        # relative objective stagnation
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    nm_reflect: float = 1.0
-    nm_expand: float = 2.0
-    nm_contract: float = 0.5
-    nm_shrink: float = 0.5
-    nm_diameter_tol: float = 1e-8
-    brent_half_width: float = 10.0
-    grid_points: int = 101
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
     """Quasi-Newton ascent with Armijo backtracking.
 
     ``f_and_grad(theta) -> (value, gradient)``.  Stops on gradient sup-norm
-    below ``grad_tol``, relative objective stagnation, or the iteration cap.
+    below ``GRAD_TOL``, relative objective stagnation, or the iteration cap.
     The inverse-Hessian approximation resets to identity whenever the
     curvature condition s'y <= 0 fails.
     """
@@ -77,7 +82,7 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm < cfg.grad_tol:
+        if gnorm < GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -94,10 +99,10 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
         for _ in range(_MAX_BACKTRACKS):
             cand = theta + step * p
             cand_val, cand_grad = f_and_grad(cand)
-            if np.isfinite(cand_val) and cand_val >= val + cfg.armijo_c * step * slope:
+            if np.isfinite(cand_val) and cand_val >= val + ARMIJO_C * step * slope:
                 new_theta = cand
                 break
-            step *= cfg.backtrack
+            step *= BACKTRACK
         if new_theta is None:              # no improving step along p
             break
 
@@ -115,7 +120,7 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
             v = eye - rho * np.outer(s, -y)
             h = v @ h @ v.T + rho * np.outer(s, s)
 
-        stalled = abs(cand_val - val) <= cfg.rel_obj_tol * max(1.0, abs(val))
+        stalled = abs(cand_val - val) <= REL_OBJ_TOL * max(1.0, abs(val))
         theta, val, grad = new_theta, cand_val, cand_grad
         if stalled:
             converged = True
@@ -124,7 +129,7 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
         iterations = cfg.max_iterations
 
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if gnorm < cfg.grad_tol:
+    if gnorm < GRAD_TOL:
         converged = True
     return OptimResult(theta, float(val), iterations, converged, gnorm)
 
@@ -133,17 +138,17 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
 # Nelder-Mead
 # ---------------------------------------------------------------------------
 
-def _initial_simplex(theta0, step_rule=None):
+def _initial_simplex(theta0):
     n = theta0.size
     simplex = [theta0.copy()]
     for i in range(n):
         pt = theta0.copy()
-        pt[i] += step_rule(theta0[i]) if step_rule else max(0.1, 0.1 * abs(theta0[i]))
+        pt[i] += max(0.1, 0.1 * abs(theta0[i]))
         simplex.append(pt)
     return simplex
 
 
-def _nm_loop(f, simplex, values, cfg, budget):
+def _nm_loop(f, simplex, values, budget):
     n = simplex[0].size
     iterations = 0
     converged = False
@@ -155,18 +160,18 @@ def _nm_loop(f, simplex, values, cfg, budget):
         diameter = max(
             float(np.max(np.abs(simplex[i] - simplex[0]))) for i in range(1, n + 1)
         )
-        if diameter < cfg.nm_diameter_tol:
+        if diameter < NM_DIAMETER_TOL:
             converged = True
             break
         iterations += 1
 
         best, worst = values[0], values[-1]
         centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + cfg.nm_reflect * (centroid - simplex[-1])
+        reflected = centroid + NM_REFLECT * (centroid - simplex[-1])
         f_r = f(reflected)
 
         if f_r > best:
-            expanded = centroid + cfg.nm_expand * (reflected - centroid)
+            expanded = centroid + NM_EXPAND * (reflected - centroid)
             f_e = f(expanded)
             if f_e > f_r:
                 simplex[-1], values[-1] = expanded, f_e
@@ -177,16 +182,16 @@ def _nm_loop(f, simplex, values, cfg, budget):
             simplex[-1], values[-1] = reflected, f_r
             continue
         if f_r > worst:
-            contracted = centroid + cfg.nm_contract * (reflected - centroid)
+            contracted = centroid + NM_CONTRACT * (reflected - centroid)
         else:
-            contracted = centroid - cfg.nm_contract * (centroid - simplex[-1])
+            contracted = centroid - NM_CONTRACT * (centroid - simplex[-1])
         f_c = f(contracted)
         if f_c > max(f_r, worst):
             simplex[-1], values[-1] = contracted, f_c
             continue
 
         for i in range(1, n + 1):
-            simplex[i] = simplex[0] + cfg.nm_shrink * (simplex[i] - simplex[0])
+            simplex[i] = simplex[0] + NM_SHRINK * (simplex[i] - simplex[0])
             values[i] = f(simplex[i])
 
     order = np.argsort(np.negative(values), kind="stable")
@@ -199,7 +204,7 @@ def nelder_mead_maximize(f: Callable, theta0, cfg: OptimConfig = OptimConfig()) 
     """Simplex maximization for possibly discontinuous objectives.
 
     Initial simplex steps are max(0.1, 0.1|theta0_i|) per coordinate; stops
-    when the simplex diameter falls below ``nm_diameter_tol`` or at the
+    when the simplex diameter falls below ``NM_DIAMETER_TOL`` or at the
     iteration cap, then restarts once from the incumbent with a fresh
     simplex.  Non-finite trial values are treated as -inf (rejected), but a
     non-finite start raises.
@@ -220,7 +225,7 @@ def nelder_mead_maximize(f: Callable, theta0, cfg: OptimConfig = OptimConfig()) 
         simplex = _initial_simplex(best_pt)
         values = [best_val] + [safe_f(p) for p in simplex[1:]]
         simplex, values, iters, converged = _nm_loop(
-            safe_f, simplex, values, cfg, cfg.max_iterations
+            safe_f, simplex, values, cfg.max_iterations
         )
         total_iter += iters
         if values[0] > best_val:
@@ -234,18 +239,16 @@ def nelder_mead_maximize(f: Callable, theta0, cfg: OptimConfig = OptimConfig()) 
 # 1-D bracketed search
 # ---------------------------------------------------------------------------
 
-def brent_maximize_1d(f: Callable, cfg: OptimConfig = OptimConfig(),
-                      half_width: Optional[float] = None) -> OptimResult:
-    """Grid pre-scan over [-L, L] then golden-section/parabolic refinement.
+def brent_maximize_1d(f: Callable) -> OptimResult:
+    """Grid pre-scan over [-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH], then
+    golden-section/parabolic refinement.
 
     Returns the better of the refined point and the grid incumbent, so a
     rough refinement can never lose to the scan.  Non-finite grid values are
     excluded; if every value is non-finite the objective is rejected.
     """
-    L = cfg.brent_half_width if half_width is None else half_width
-    grid = np.linspace(-L, L, cfg.grid_points)
-    if cfg.grid_points % 2 == 1:
-        grid[cfg.grid_points // 2] = 0.0   # exact 0 keeps step-down monotone
+    grid = np.linspace(-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH, GRID_POINTS)
+    grid[GRID_POINTS // 2] = 0.0       # odd GRID_POINTS: exact 0 keeps step-down monotone
     vals = np.array([f(x) for x in grid], dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
@@ -284,7 +287,7 @@ class StepDownResult:
     stage_values: tuple
 
 
-def step_down(score_objective: Callable, data, cfg: OptimConfig = OptimConfig()) -> StepDownResult:
+def step_down(score_objective: Callable, data) -> StepDownResult:
     """Rank markers by individual objective, then add one at a time.
 
     ``score_objective`` maps a list of per-category score vectors to a float.
@@ -311,7 +314,7 @@ def step_down(score_objective: Callable, data, cfg: OptimConfig = OptimConfig())
                 [v + coef * c for v, c in zip(combined, cols)]
             )
 
-        res = brent_maximize_1d(slice_objective, cfg)
+        res = brent_maximize_1d(slice_objective)
         coef = float(res.argmax[0])
         beta[k] = coef
         combined = [v + coef * c for v, c in zip(combined, cols)]

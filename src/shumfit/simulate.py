@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Coefficients, MarkerDataset, project_scores
 from .errors import InvalidParameter, NotPositiveDefinite, ShumFitError, StudyAborted
-from .methods import FitConfig, fit_method
+from .methods import METHODS, FitConfig, fit_method
 
 DELTA = np.array([1.0, 1.1, 1.2])
 WEIBULL_SHAPES = np.array([0.5, 1.0, 1.5])    # per marker
@@ -46,21 +46,12 @@ def ar1_cov(rho: float, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A simulation design: scenario id, per-category sizes, R, master seed.
-
-    ``custom_means``/``custom_cov`` override the MVN defaults (scenarios
-    1-3); ``custom_shapes``/``custom_scales`` override the Weibull design
-    (scenario 4).
-    """
+    """A simulation design: scenario id, per-category sizes, R, master seed."""
 
     scenario_id: int
     n: tuple
     replications: int = 200
     master_seed: int = 1
-    custom_means: Optional[tuple] = None
-    custom_cov: Optional[tuple] = None
-    custom_shapes: Optional[tuple] = None
-    custom_scales: Optional[tuple] = None
 
     def __post_init__(self):
         if self.scenario_id not in (1, 2, 3, 4):
@@ -78,27 +69,17 @@ class ScenarioConfig:
     def mvn_parameters(self):
         if self.scenario_id == 4:
             raise InvalidParameter("scenario 4 is not Gaussian")
-        if self.custom_means is not None:
-            means = [np.asarray(m, dtype=float) for m in self.custom_means]
-        else:
-            means = [i * DELTA for i in range(len(self.n))]
-        if self.custom_cov is not None:
-            cov = np.asarray(self.custom_cov, dtype=float)
-        else:
-            d = means[0].size
-            cov = {1: identity_cov(d),
-                   2: exchangeable_cov(0.2, d),
-                   3: ar1_cov(0.2, d)}[self.scenario_id]
+        means = [i * DELTA for i in range(len(self.n))]
+        d = DELTA.size
+        cov = {1: identity_cov(d),
+               2: exchangeable_cov(0.2, d),
+               3: ar1_cov(0.2, d)}[self.scenario_id]
         return means, cov
 
     def weibull_parameters(self):
-        shapes = np.asarray(self.custom_shapes if self.custom_shapes is not None
-                            else WEIBULL_SHAPES, dtype=float)
-        scales = np.asarray(self.custom_scales if self.custom_scales is not None
-                            else WEIBULL_SCALES, dtype=float)
-        if scales.size != len(self.n):
+        if WEIBULL_SCALES.size != len(self.n):
             raise InvalidParameter("need one Weibull scale per category")
-        return shapes, scales
+        return WEIBULL_SHAPES, WEIBULL_SCALES
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +165,8 @@ def true_beta_oracle(cfg: ScenarioConfig) -> Coefficients:
 def study_anchor_index(cfg: ScenarioConfig) -> int:
     """Anchor used when summarizing fitted coefficients across replicates."""
     if cfg.scenario_id == 4:
-        return len(WEIBULL_SHAPES if cfg.custom_shapes is None
-                   else cfg.custom_shapes) - 1
-    means, _ = cfg.mvn_parameters()
-    delta = np.mean([means[j + 1] - means[j] for j in range(len(means) - 1)], axis=0)
-    return int(np.argmin(delta))
+        return WEIBULL_SHAPES.size - 1
+    return true_beta_oracle(cfg).anchor_index
 
 
 def population_hum(cfg: ScenarioConfig, beta, mc_n: int = 10**6, seed: int = 0):
@@ -277,18 +255,19 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     """Fit every method on R independent replicates and aggregate.
 
     EHUM summaries use each method's achieved empirical HUM.  Coefficient
-    summaries are converted to the common anchored-ratio convention (anchor =
+    summaries of the methods whose ``METHODS`` entry has ``ratio`` are
+    converted to the common anchored-ratio convention (anchor =
     smallest-spacing marker for the Gaussian scenarios, last marker for the
-    Weibull one) so bias columns are comparable to the oracle.  Fits whose
-    polisher stopped without converging still count, and are reported per
-    method as ``n_not_converged``.  Aggregation order is fixed by replicate
+    Weibull one) so bias columns are comparable to the oracle; the others
+    are averaged as fitted and get no bias.  Fits whose polisher stopped
+    without converging still count, and are reported per method as
+    ``n_not_converged``.  Aggregation order is fixed by replicate
     index; worker count cannot change results.  More than 5% failed
     (replicate, method) fits aborts the study.
     """
     methods = list(methods)
     for m in methods:
-        if m not in ("sshum", "nshum", "empirical", "parametric",
-                     "minmax", "frechet", "naive"):
+        if m not in METHODS:
             raise InvalidParameter(f"unknown method {m!r}")
     tasks = [(cfg, tuple(methods), fit_cfg, r) for r in range(cfg.replications)]
     if workers and workers > 1:
@@ -320,10 +299,11 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             raise StudyAborted(failures, cfg.replications)
 
         ehums = np.asarray(ehums)
-        if method in ("minmax", "naive"):
-            conv = np.asarray(coefs)          # no ratio conversion applies
-        else:
+        ratio = METHODS[method].ratio
+        if ratio:
             conv = np.asarray([_anchored_ratio(b, anchor) for b in coefs])
+        else:
+            conv = np.asarray(coefs)
         coef_mean = conv.mean(axis=0)
         if len(ehums) > 1:
             sd_ehum = float(np.std(ehums, ddof=1))
@@ -333,7 +313,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             coef_sd = np.zeros_like(coef_mean)
             warnings.warn("single-replicate study: SDs reported as 0")
         bias = None
-        if truth is not None and method not in ("minmax", "naive"):
+        if truth is not None and ratio:
             bias = coef_mean - truth
         summaries.append(MethodSummary(
             method=method,

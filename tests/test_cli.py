@@ -74,11 +74,14 @@ def test_fit_csv_format_and_hash_line(tmp_path):
     out = tmp_path / "out"
     code = cli.main([
         "fit", "--data", str(csv), "--outcome", "outcome",
-        "--markers", "m1,m2", "--methods", "naive",
+        "--markers", "m1,m2", "--methods", "naive,minmax",
         "--format", "csv", "--out", str(out),
     ])
     assert code == 0
     lines = read(out / "fit_report.csv").decode().splitlines()
+    # minmax coefficients act on the derived (max, min) features
+    assert [ln.split(",")[1] for ln in lines if ln.startswith("minmax,")] == [
+        "max", "min", "ehum"]
     manifest = json.loads(read(out / "manifest.json"))
     assert lines[0] == f"# manifest_hash={manifest['manifest_hash']}"
     assert lines[1] == "method,quantity,value"
@@ -134,11 +137,14 @@ def test_fit_lambda_rule_note_on_auto(tmp_path, capsys):
     write_dataset(csv)
     code = cli.main([
         "fit", "--data", str(csv), "--outcome", "outcome",
-        "--markers", "m1,m2", "--methods", "sshum",
+        "--markers", "m1,m2", "--methods", "sshum,nshum,empirical",
         "--out", str(tmp_path / "o"),
     ])
     assert code == 0
-    assert "lambda rule check (sshum)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "lambda rule check (sshum)" in err
+    assert "lambda rule check (nshum)" in err
+    assert "lambda rule check (empirical)" not in err
 
 
 def test_log_transform_rejects_nonpositive(tmp_path):

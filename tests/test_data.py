@@ -17,6 +17,7 @@ from shumfit.errors import (
     FewerThanTwoCategories,
     IndexOutOfRange,
     MissingColumn,
+    ShumFitError,
     UnparseableNumeric,
 )
 
@@ -109,6 +110,10 @@ def test_dataset_validation():
         MarkerDataset((ok, np.zeros((2, 3))), ("a", "b"), (0, 1))
     with pytest.raises(EmptyCategory):
         MarkerDataset((ok, np.zeros((0, 2))), ("a", "b"), (0, 1))
+    bad = np.array([[0.0, np.nan], [1.0, 2.0]])
+    with pytest.raises(ShumFitError,
+                       match="a marker value in category 0 is non-finite"):
+        MarkerDataset((bad, ok), ("a", "b"), (0, 1))
 
 
 def test_project_scores_matches_dot_oracle():

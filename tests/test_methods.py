@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,8 +90,15 @@ def test_positive_rescaling_leaves_ehum_unchanged():
 def test_polish_requires_smooth_objective():
     rng = np.random.default_rng(4)
     data = make_dataset(rng, m=3, sizes=(6, 6, 6), d=2, spread=1.0)
+    start = np.array([1.0, 0.5])
+    for name, entry in methods.METHODS.items():
+        if entry.kernel is None:
+            with pytest.raises(SmoothObjectiveRequired):
+                polish_bfgs(data, name, start, 0, FitConfig())
+        else:
+            assert np.isfinite(polish_bfgs(data, name, start, 0, FitConfig()).value)
     with pytest.raises(SmoothObjectiveRequired):
-        polish_bfgs(data, "empirical", np.array([1.0, 0.5]), 0, FitConfig())
+        polish_bfgs(data, "logit", start, 0, FitConfig())
 
 
 def test_closed_form_matches_hand_solved_system():
@@ -297,7 +306,8 @@ def test_bootstrap_tolerates_sparse_failures(monkeypatch):
             raise EmptyInput("injected")
         return fit_naive(d)
 
-    monkeypatch.setitem(methods._FITTERS, "naive", flaky)
+    monkeypatch.setitem(methods.METHODS, "naive",
+                        dataclasses.replace(methods.METHODS["naive"], fit=flaky))
     summary = bootstrap_se(data, "naive", B=20, seed=0)
     assert summary.n_failures == 1
     assert summary.n_replicates == 20
@@ -314,7 +324,8 @@ def test_bootstrap_aborts_when_most_replicates_fail(monkeypatch):
             raise EmptyInput("injected")
         return fit_naive(d)
 
-    monkeypatch.setitem(methods._FITTERS, "naive", flaky)
+    monkeypatch.setitem(methods.METHODS, "naive",
+                        dataclasses.replace(methods.METHODS["naive"], fit=flaky))
     with pytest.raises(BootstrapUnstable) as exc:
         bootstrap_se(data, "naive", B=5, seed=0)
     assert exc.value.n_failed == 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shumfit import (
+    METHODS,
     FitConfig,
     OptimConfig,
     ScenarioConfig,
@@ -48,8 +49,7 @@ def test_scenario_config_validation():
     with pytest.raises(InvalidParameter):
         ScenarioConfig(scenario_id=4, n=(5, 5, 5)).mvn_parameters()
     with pytest.raises(InvalidParameter):
-        ScenarioConfig(scenario_id=4, n=(5, 5, 5), custom_scales=(1.0, 2.0)
-                       ).weibull_parameters()
+        ScenarioConfig(scenario_id=4, n=(5, 5, 5, 5)).weibull_parameters()
 
 
 def test_mvn_sampler_moments():
@@ -223,6 +223,8 @@ def test_run_study_aggregates_and_bias():
     param = by["parametric"]
     np.testing.assert_allclose(param.coef_bias, param.coef_mean - truth, atol=1e-12)
     assert param.coef_mean[0] == 1.0  # anchored-ratio convention
+    for method, ms in by.items():
+        assert (ms.coef_bias is None) == (not METHODS[method].ratio)
     assert by["minmax"].coef_bias is None
     assert by["naive"].coef_bias is None
     assert 0.0 < by["parametric"].mean_ehum < 1.0
