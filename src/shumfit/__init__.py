@@ -46,7 +46,6 @@ from .methods import (
     unit_norm_aligned,
 )
 from .optimize import (
-    OptimConfig,
     OptimResult,
     StepDownResult,
     bfgs_maximize,

@@ -4,11 +4,14 @@ and the greedy step-down composition over markers.
 All routines maximize.  BFGS is for smooth objectives with analytic
 gradients; Nelder-Mead handles the piecewise-constant empirical objectives;
 the 1-D search runs a dense grid pre-scan (multi-modal slices are common for
-empirical HUM) before local refinement.  Everything is deterministic:
-identical inputs and config give bit-identical results.
+empirical HUM) before local refinement.  Step-down is the greedy search the
+fitters start from; the smoothed fits run it on the exact empirical HUM and
+leave the smoothed objective to BFGS.  Everything is deterministic:
+identical inputs and settings give bit-identical results.
 
-``OptimConfig.max_iterations`` is the one setting callers choose.  The rest
-are module constants: GRAD_TOL, REL_OBJ_TOL, ARMIJO_C and BACKTRACK (BFGS);
+``max_iterations`` of BFGS and Nelder-Mead is the one setting callers choose
+(``FitConfig.max_iterations`` passes it through).  The rest are module
+constants: GRAD_TOL, REL_OBJ_TOL, ARMIJO_C and BACKTRACK (BFGS);
 NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK and NM_DIAMETER_TOL
 (Nelder-Mead); BRENT_HALF_WIDTH and GRID_POINTS (the 1-D grid pre-scan).
 """
@@ -38,11 +41,6 @@ GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
-class OptimConfig:
-    max_iterations: int = 500
-
-
-@dataclass(frozen=True)
 class OptimResult:
     argmax: np.ndarray
     value: float
@@ -60,19 +58,23 @@ def _finite_or_raise(value, point, what="objective"):
 # BFGS
 # ---------------------------------------------------------------------------
 
-def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()) -> OptimResult:
+def bfgs_maximize(f: Callable, grad: Callable, theta0,
+                  max_iterations: int = 500) -> OptimResult:
     """Quasi-Newton ascent with Armijo backtracking.
 
-    ``f_and_grad(theta) -> (value, gradient)``.  Stops on gradient sup-norm
-    below ``GRAD_TOL``, relative objective stagnation, or the iteration cap.
+    ``f(theta) -> value`` is evaluated at the start and at every trial step;
+    ``grad(theta) -> gradient`` only at the start and at accepted steps, so a
+    rejected trial costs one value.  Stops on gradient sup-norm below
+    ``GRAD_TOL``, relative objective stagnation, or ``max_iterations``.
     The inverse-Hessian approximation resets to identity whenever the
     curvature condition s'y <= 0 fails.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     n = theta.size
-    val, grad = f_and_grad(theta)
+    val = f(theta)
     _finite_or_raise(val, theta)
-    _finite_or_raise(grad, theta, "gradient")
+    g = grad(theta)
+    _finite_or_raise(g, theta, "gradient")
     if n == 0:
         return OptimResult(theta, float(val), 0, True, 0.0)
 
@@ -80,25 +82,25 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
     eye = np.eye(n)
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        gnorm = float(np.max(np.abs(grad)))
+    for iterations in range(1, max_iterations + 1):
+        gnorm = float(np.max(np.abs(g)))
         if gnorm < GRAD_TOL:
             converged = True
             iterations -= 1
             break
 
-        p = h @ grad                       # ascent direction
-        slope = float(grad @ p)
+        p = h @ g                          # ascent direction
+        slope = float(g @ p)
         if slope <= 0.0:                   # h lost positive definiteness
             h = eye.copy()
-            p = grad.copy()
-            slope = float(grad @ grad)
+            p = g.copy()
+            slope = float(g @ g)
 
         step = 1.0
         new_theta = None
         for _ in range(_MAX_BACKTRACKS):
             cand = theta + step * p
-            cand_val, cand_grad = f_and_grad(cand)
+            cand_val = f(cand)
             if np.isfinite(cand_val) and cand_val >= val + ARMIJO_C * step * slope:
                 new_theta = cand
                 break
@@ -106,9 +108,10 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
         if new_theta is None:              # no improving step along p
             break
 
-        _finite_or_raise(cand_grad, cand, "gradient")
+        cand_g = grad(new_theta)
+        _finite_or_raise(cand_g, new_theta, "gradient")
         s = new_theta - theta
-        y = cand_grad - grad
+        y = cand_g - g
         sy = float(s @ y)
         # curvature condition for a concave objective: s'y < 0 under
         # maximization of -f; in this ascent form the update needs s'y < 0,
@@ -121,14 +124,14 @@ def bfgs_maximize(f_and_grad: Callable, theta0, cfg: OptimConfig = OptimConfig()
             h = v @ h @ v.T + rho * np.outer(s, s)
 
         stalled = abs(cand_val - val) <= REL_OBJ_TOL * max(1.0, abs(val))
-        theta, val, grad = new_theta, cand_val, cand_grad
+        theta, val, g = new_theta, cand_val, cand_g
         if stalled:
             converged = True
             break
     else:
-        iterations = cfg.max_iterations
+        iterations = max_iterations
 
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     if gnorm < GRAD_TOL:
         converged = True
     return OptimResult(theta, float(val), iterations, converged, gnorm)
@@ -200,12 +203,12 @@ def _nm_loop(f, simplex, values, budget):
     return simplex, values, iterations, converged
 
 
-def nelder_mead_maximize(f: Callable, theta0, cfg: OptimConfig = OptimConfig()) -> OptimResult:
+def nelder_mead_maximize(f: Callable, theta0, max_iterations: int = 500) -> OptimResult:
     """Simplex maximization for possibly discontinuous objectives.
 
     Initial simplex steps are max(0.1, 0.1|theta0_i|) per coordinate; stops
-    when the simplex diameter falls below ``NM_DIAMETER_TOL`` or at the
-    iteration cap, then restarts once from the incumbent with a fresh
+    when the simplex diameter falls below ``NM_DIAMETER_TOL`` or after
+    ``max_iterations``, then restarts once from the incumbent with a fresh
     simplex.  Non-finite trial values are treated as -inf (rejected), but a
     non-finite start raises.
     """
@@ -225,7 +228,7 @@ def nelder_mead_maximize(f: Callable, theta0, cfg: OptimConfig = OptimConfig()) 
         simplex = _initial_simplex(best_pt)
         values = [best_val] + [safe_f(p) for p in simplex[1:]]
         simplex, values, iters, converged = _nm_loop(
-            safe_f, simplex, values, cfg.max_iterations
+            safe_f, simplex, values, max_iterations
         )
         total_iter += iters
         if values[0] > best_val:

@@ -14,10 +14,12 @@ score:
   ``_HIGH``; a prefix sum over the sorted vector counts these pairs;
 - cur - prev < -T*lam: the kernel is below 1e-16 and the pair is dropped;
 - the band in between, the only pairs passed to ``kernel_eval`` and
-  ``kernel_deriv``, listed flat and summed with ``np.bincount``, in row
-  blocks of at most about ``_BLOCK`` pairs.  The band's index and
-  difference arrays live in one workspace per call (``_workspace``), so
-  repeated calls reuse their memory instead of page-faulting it in anew.
+  ``kernel_deriv``, listed flat row by row, in row blocks of at most about
+  ``_BLOCK`` pairs.  A row's pairs are contiguous, so row sums are taken
+  with ``np.add.reduceat``; column sums with ``np.bincount``.  The band's
+  index and difference arrays live in one workspace per call
+  (``_workspace``), so repeated calls reuse their memory instead of
+  page-faulting it in anew.
 
 T (``SATURATION``) is fixed by float rounding, not chosen: expit(36.8)
 already rounds to 1 and expit(-37) = 8.5e-17, ndtr(8.3) rounds to 1 and
@@ -169,6 +171,16 @@ class _Band(NamedTuple):
     def blocks(self):
         return zip(self.bounds, self.bounds[1:])
 
+    def add_row_sums(self, a: int, b: int, x, out):
+        """``out[r] +=`` the sum of ``x`` over row r's pairs, for rows a .. b-1.
+
+        ``x`` holds the block's pairs in flat order.  Empty rows are skipped:
+        ``reduceat`` would give them the next pair's value.
+        """
+        rows = a + np.flatnonzero(self.width[a:b])
+        if rows.size:
+            out[rows] += np.add.reduceat(x, self.starts[rows] - self.starts[a])
+
 
 def _bands(ordered, spec: SmoothingSpec):
     reach = SATURATION[spec.kernel] * spec.lam
@@ -220,14 +232,14 @@ def _pairs(prev, cur, band: _Band, a: int, b: int, work):
 
 
 def _chain_up(v, prev, cur, band: _Band, work, spec: SmoothingSpec):
-    """A @ v for one level: saturated pairs by prefix sum, the band by bincount."""
+    """A @ v for one level: saturated pairs by prefix sum, the band by row sums."""
     below = np.concatenate(([0.0], np.cumsum(v)))        # below[i] = v[:i].sum()
     out = _HIGH * below[band.high]
     for a, b in band.blocks():
-        rows, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
+        _, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
         k = kernel_eval(spec.kernel, diff, spec.lam)
         k *= np.take(v, cols, out=spare, mode="clip")
-        out += np.bincount(rows, k, cur.size)
+        band.add_row_sums(a, b, k, out)
     return out
 
 
@@ -288,7 +300,7 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
             w_rows = np.take(w, rows, out=diff, mode="clip")      # diff is no longer needed
             u_cols = np.take(u, cols, out=spare, mode="clip")
             u_cols *= g
-            g_u += np.bincount(rows, u_cols, cur.size)
+            band.add_row_sums(a, b, u_cols, g_u)
             g *= w_rows
             gt_w += np.bincount(cols, g, prev.size)
             if j > 0:

@@ -22,6 +22,8 @@ from shumfit import (
     fit_sshum,
     polish_bfgs,
     project_scores,
+    shum_value,
+    step_down,
     unit_norm_aligned,
 )
 from shumfit.errors import (
@@ -99,6 +101,45 @@ def test_polish_requires_smooth_objective():
             assert np.isfinite(polish_bfgs(data, name, start, 0, FitConfig()).value)
     with pytest.raises(SmoothObjectiveRequired):
         polish_bfgs(data, "logit", start, 0, FitConfig())
+
+
+# a single marker is the best start at seeds 0 and 32, and at 13 for sshum;
+# at seed 0 its anchor differs from step-down's
+@pytest.mark.parametrize("seed", [0, 1, 13, 32])
+@pytest.mark.parametrize("method", ["sshum", "nshum"])
+def test_smoothed_fit_polishes_its_best_start(method, seed):
+    rng = np.random.default_rng(seed)
+    data = make_dataset(rng, m=3, sizes=(6, 5, 7), d=2, spread=0.3)
+    spec = methods._smoothing(data, FitConfig(), methods.METHODS[method].kernel)
+    sd = step_down(methods._ehum_objective, data)
+    starts = [(sd.beta, sd.anchor_index), (np.array([1.0, 0.0]), 0),
+              (np.array([0.0, 1.0]), 1)]
+    values = [shum_value(data, beta, spec) for beta, _ in starts]
+    rep = fit_method(data, method)
+    assert rep.objective_at_solution >= max(values)
+    assert rep.coefficients.anchor_index == starts[int(np.argmax(values))][1]
+
+
+def test_smoothed_polish_takes_no_gradient_at_a_rejected_trial(monkeypatch):
+    rng = np.random.default_rng(4)
+    data = make_dataset(rng, m=3, sizes=(10, 10, 10), d=3, spread=1.0)
+    values, gradient_values = {}, []
+    value, gradient = methods.shum_value, methods.shum_gradient
+
+    def recorded_value(d, beta, spec):
+        values[tuple(beta)] = value(d, beta, spec)
+        return values[tuple(beta)]
+
+    def recorded_gradient(d, beta, spec, anchor):
+        gradient_values.append(values[tuple(beta)])   # only where a value was taken
+        return gradient(d, beta, spec, anchor)
+
+    monkeypatch.setattr(methods, "shum_value", recorded_value)
+    monkeypatch.setattr(methods, "shum_gradient", recorded_gradient)
+    polish_bfgs(data, "sshum", np.array([1.0, 8.0, -8.0]), 0, FitConfig())
+    assert len(values) > len(gradient_values)      # some trial step was rejected
+    # gradients only at the start and at accepted steps, each an ascent
+    assert all(b > a for a, b in zip(gradient_values, gradient_values[1:]))
 
 
 def test_closed_form_matches_hand_solved_system():

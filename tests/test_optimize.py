@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shumfit import (
+    FitConfig,
     Kernel,
-    OptimConfig,
     SmoothingSpec,
     bfgs_maximize,
     brent_maximize_1d,
@@ -18,15 +18,18 @@ from shumfit.errors import NonFiniteObjective
 from oracles import make_dataset
 
 
-def quad_f_and_grad(theta):
+def quad_f(theta):
     # concave paraboloid peaking at (3, -1) with value 7
-    t = np.asarray(theta, dtype=float)
-    delta = t - np.array([3.0, -1.0])
-    return 7.0 - float(delta @ delta), -2.0 * delta
+    delta = np.asarray(theta, dtype=float) - np.array([3.0, -1.0])
+    return 7.0 - float(delta @ delta)
+
+
+def quad_grad(theta):
+    return -2.0 * (np.asarray(theta, dtype=float) - np.array([3.0, -1.0]))
 
 
 def test_bfgs_finds_quadratic_peak():
-    res = bfgs_maximize(quad_f_and_grad, np.zeros(2))
+    res = bfgs_maximize(quad_f, quad_grad, np.zeros(2))
     np.testing.assert_allclose(res.argmax, [3.0, -1.0], atol=1e-8)
     assert res.value == pytest.approx(7.0, abs=1e-12)
     assert res.converged
@@ -34,14 +37,15 @@ def test_bfgs_finds_quadratic_peak():
 
 
 def test_bfgs_on_rosenbrock_style_valley():
-    def f_and_grad(theta):
+    def f(theta):
         x, y = theta
-        f = -((1 - x) ** 2 + 5.0 * (y - x**2) ** 2)
-        gx = 2 * (1 - x) + 20.0 * (y - x**2) * x
-        gy = -10.0 * (y - x**2)
-        return f, np.array([gx, gy])
+        return -((1 - x) ** 2 + 5.0 * (y - x**2) ** 2)
 
-    res = bfgs_maximize(f_and_grad, np.array([-1.2, 1.0]))
+    def grad(theta):
+        x, y = theta
+        return np.array([2 * (1 - x) + 20.0 * (y - x**2) * x, -10.0 * (y - x**2)])
+
+    res = bfgs_maximize(f, grad, np.array([-1.2, 1.0]))
     np.testing.assert_allclose(res.argmax, [1.0, 1.0], atol=1e-5)
 
 
@@ -49,11 +53,11 @@ def test_bfgs_iterates_never_decrease():
     seen = []
 
     def recording(theta):
-        f, g = quad_f_and_grad(theta)
+        f = quad_f(theta)
         seen.append(f)
-        return f, g
+        return f
 
-    bfgs_maximize(recording, np.array([10.0, 10.0]))
+    bfgs_maximize(recording, quad_grad, np.array([10.0, 10.0]))
     accepted = [seen[0]]
     for v in seen:
         if v > accepted[-1]:
@@ -64,14 +68,14 @@ def test_bfgs_iterates_never_decrease():
 
 def test_bfgs_rejects_nonfinite_start():
     def bad(theta):
-        return float("nan"), np.zeros(1)
+        return float("nan")
 
     with pytest.raises(NonFiniteObjective):
-        bfgs_maximize(bad, np.zeros(1))
+        bfgs_maximize(bad, lambda t: np.zeros(1), np.zeros(1))
 
 
 def test_bfgs_empty_theta_returns_immediately():
-    res = bfgs_maximize(lambda t: (4.5, np.zeros(0)), np.zeros(0))
+    res = bfgs_maximize(lambda t: 4.5, lambda t: np.zeros(0), np.zeros(0))
     assert res.value == 4.5
     assert res.argmax.size == 0
 
@@ -214,7 +218,7 @@ def test_step_down_is_deterministic():
 
 
 def test_config_is_frozen():
-    cfg = OptimConfig()
+    cfg = FitConfig()
     with pytest.raises(Exception):
         cfg.max_iterations = 7
 

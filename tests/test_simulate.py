@@ -6,7 +6,6 @@ import pytest
 from shumfit import (
     METHODS,
     FitConfig,
-    OptimConfig,
     ScenarioConfig,
     ar1_cov,
     exchangeable_cov,
@@ -207,7 +206,7 @@ def test_run_study_single_replicate_warns_and_zeroes_sds():
 
 def test_run_study_counts_non_converged_fits():
     cfg = ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=2)
-    capped = FitConfig(optim=OptimConfig(max_iterations=1))
+    capped = FitConfig(max_iterations=1)
     by = run_study(cfg, ["sshum", "naive"], capped).by_method()
     assert by["sshum"].n_not_converged == 2
     assert by["naive"].n_not_converged == 0
