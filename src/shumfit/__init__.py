@@ -19,7 +19,6 @@ from .data import (
 from .hum import (
     HumValue,
     adjacent_aucs,
-    average_adjacent_auc,
     ehum_bruteforce,
     ehum_fast,
     frechet_bounds,

@@ -69,14 +69,6 @@ class SingularCovariance(ShumFitError):
     pass
 
 
-class WrongCategoryCount(ShumFitError):
-    pass
-
-
-class SmoothObjectiveRequired(ShumFitError):
-    pass
-
-
 class BootstrapUnstable(ShumFitError):
     def __init__(self, n_failed, n_total):
         super().__init__(

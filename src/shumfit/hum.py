@@ -116,12 +116,6 @@ def adjacent_aucs(scores) -> list:
     return [pairwise_auc(scores[j], scores[j + 1]) for j in range(len(scores) - 1)]
 
 
-def average_adjacent_auc(scores) -> float:
-    """P_A: mean of the adjacent-pair AUCs (drives the lower bound)."""
-    aucs = adjacent_aucs(scores)
-    return sum(aucs) / len(aucs)
-
-
 def min_adjacent_auc(scores) -> float:
     """P_M: minimum adjacent-pair AUC (the upper bound itself)."""
     return min(adjacent_aucs(scores))

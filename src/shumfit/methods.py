@@ -20,10 +20,8 @@ from .errors import (
     InvalidParameter,
     ShumFitError,
     SingularCovariance,
-    SmoothObjectiveRequired,
-    WrongCategoryCount,
 )
-from .hum import average_adjacent_auc, ehum_fast, min_adjacent_auc
+from .hum import ehum_fast, min_adjacent_auc
 from .optimize import (
     OptimResult,
     bfgs_maximize,
@@ -116,21 +114,15 @@ def unit_norm_aligned(beta, reference=None) -> np.ndarray:
 # smooth-objective polish
 # ---------------------------------------------------------------------------
 
-def polish_bfgs(data: MarkerDataset, objective_kind: str, beta_init,
-                anchor_index: int, cfg: FitConfig) -> OptimResult:
+def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
+                anchor_index: int, max_iterations: int) -> OptimResult:
     """Simultaneous quasi-Newton refinement of all free coefficients.
 
-    Only methods with a smoothing ``kernel`` in :data:`METHODS` are
-    eligible; the empirical and bound objectives are piecewise constant and
-    belong to the simplex polisher.  BFGS evaluates the start first and only
-    accepts ascent steps, so the result is never worse than the start.
+    Maximizes the smoothed HUM of ``spec``; the empirical and bound
+    objectives are piecewise constant and belong to the simplex polisher.
+    BFGS evaluates the start first and only accepts ascent steps, so the
+    result is never worse than the start.
     """
-    entry = METHODS.get(objective_kind)
-    if entry is None or entry.kernel is None:
-        raise SmoothObjectiveRequired(
-            f"cannot run gradient polish on objective {objective_kind!r}"
-        )
-    spec = _smoothing(data, cfg, entry.kernel)
     theta0 = np.delete(np.asarray(beta_init, dtype=float), anchor_index)
 
     def value(theta):
@@ -140,7 +132,7 @@ def polish_bfgs(data: MarkerDataset, objective_kind: str, beta_init,
         beta = anchored_to_full(theta, anchor_index)
         return shum_gradient(data, beta, spec, anchor_index)
 
-    return bfgs_maximize(value, gradient, theta0, cfg.max_iterations)
+    return bfgs_maximize(value, gradient, theta0, max_iterations)
 
 
 def _report(data, method, beta, anchor, objective_value, iterations, converged) -> FitReport:
@@ -171,7 +163,7 @@ def _smoothed_start(data: MarkerDataset, spec: SmoothingSpec, sd):
 
 
 def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
-                           score_objective: Callable, label: str) -> FitReport:
+                           score_objective: Callable) -> FitReport:
     """Step-down on ``score_objective``, then a polish of all coefficients.
 
     A smoothed method is polished by BFGS on its smoothed objective from
@@ -181,8 +173,9 @@ def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
     sd = step_down(score_objective, data)
     kernel = METHODS[method].kernel
     if kernel is not None:
-        beta0, anchor = _smoothed_start(data, _smoothing(data, cfg, kernel), sd)
-        res = polish_bfgs(data, method, beta0, anchor, cfg)
+        spec = _smoothing(data, cfg, kernel)
+        beta0, anchor = _smoothed_start(data, spec, sd)
+        res = polish_bfgs(data, spec, beta0, anchor, cfg.max_iterations)
     else:
         anchor = sd.anchor_index
 
@@ -191,7 +184,7 @@ def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
 
         res = nelder_mead_maximize(f, np.delete(sd.beta, anchor), cfg.max_iterations)
     beta = anchored_to_full(res.argmax, anchor)
-    return _report(data, label, beta, anchor, res.value, res.iterations,
+    return _report(data, method, beta, anchor, res.value, res.iterations,
                    res.converged)
 
 
@@ -209,12 +202,12 @@ def fit_sshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     take hundreds of evaluations, each far cheaper on the exact HUM than on
     the smoothed one.
     """
-    return _step_down_then_polish(data, cfg, "sshum", _ehum_objective, "sshum")
+    return _step_down_then_polish(data, cfg, "sshum", _ehum_objective)
 
 
 def fit_nshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     """Maximize the normal-CDF-smoothed HUM, by the search of :func:`fit_sshum`."""
-    return _step_down_then_polish(data, cfg, "nshum", _ehum_objective, "nshum")
+    return _step_down_then_polish(data, cfg, "nshum", _ehum_objective)
 
 
 def fit_empirical(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -224,23 +217,15 @@ def fit_empirical(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitRepor
     polish over all free coefficients (the objective is piecewise constant,
     so improvement over the start is a weak inequality).
     """
-    return _step_down_then_polish(data, cfg, "empirical", _ehum_objective,
-                                  "empirical")
+    return _step_down_then_polish(data, cfg, "empirical", _ehum_objective)
 
 
-def fit_frechet(data: MarkerDataset, cfg: FitConfig = FitConfig(),
-                bound: str = "upper") -> FitReport:
-    """Maximize a HUM envelope: upper = min adjacent AUC, lower = average.
+def fit_frechet(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+    """Maximize the HUM's upper envelope, the minimum adjacent AUC.
 
-    The upper bound is the default reporting choice; either way the report's
-    ehum_at_solution is the exact empirical HUM at the solution.
+    The report's ehum_at_solution is the exact empirical HUM at the solution.
     """
-    bound = bound.lower()
-    if bound not in ("upper", "lower"):
-        raise InvalidParameter(f"unknown bound {bound!r}")
-    objective = min_adjacent_auc if bound == "upper" else average_adjacent_auc
-    return _step_down_then_polish(data, cfg, "frechet", objective,
-                                  f"frechet_{bound}")
+    return _step_down_then_polish(data, cfg, "frechet", min_adjacent_auc)
 
 
 def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -265,27 +250,25 @@ def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     )
 
 
-def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
-                          mode: str = "auto") -> FitReport:
-    """Normal-model combination: closed form or 3-category integral.
+def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+    """Normal-model combination: 3-category integral, closed form otherwise.
 
-    ClosedForm solves pooled_cov @ x = mean adjacent mean-difference (the
-    optimum under a common covariance with equal spacing).  The integral mode
-    plugs per-category moments into the Gaussian ordering probability,
-    evaluated by 201-node Gauss-Legendre quadrature on [-8, 8], and maximizes
-    it by BFGS with finite-difference gradients from the closed-form start.
-    ``mode="auto"`` picks the integral for 3 categories, the closed form
-    otherwise.
+    The closed form solves pooled_cov @ x = mean adjacent mean-difference
+    (the optimum under a common covariance with equal spacing).  With 3
+    categories and several markers, per-category moments are plugged into the
+    Gaussian ordering probability, evaluated by 201-node Gauss-Legendre
+    quadrature on [-8, 8], and maximized by BFGS with finite-difference
+    gradients from the closed-form direction, anchored at its last
+    coefficient when positive, else at its largest.  A direction with no
+    positive coefficient gets the closed-form report, since dividing by a
+    negative anchor would reverse the ranking.
     """
-    mode = mode.lower()
-    if mode == "auto":
-        mode = "integral" if data.n_categories == 3 else "closed_form"
-    if mode not in ("closed_form", "integral"):
-        raise InvalidParameter(f"unknown parametric mode {mode!r}")
-
-    beta_cf = _closed_form_direction(data)
-    beta_cf, anchor = _anchor_preserving_orientation(beta_cf)
-    if mode == "closed_form" or data.n_markers == 1:
+    beta_cf, anchor = _anchor_preserving_orientation(_closed_form_direction(data))
+    integral = data.n_categories == 3 and data.n_markers > 1
+    if integral and anchor is None and beta_cf.max() > 0:
+        anchor = int(np.argmax(beta_cf))
+        beta_cf = beta_cf / beta_cf[anchor]
+    if not integral or anchor is None:
         value = _ehum_at(data, beta_cf)
         return FitReport(
             method="parametric",
@@ -296,15 +279,7 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
             converged=True,
         )
 
-    if data.n_categories != 3:
-        raise WrongCategoryCount(
-            f"integral mode needs exactly 3 categories, got {data.n_categories}"
-        )
     mus, covs = _category_moments(data)
-    if anchor is None:
-        # orientation fallback: anchor the largest-magnitude coefficient
-        anchor = int(np.argmax(np.abs(beta_cf)))
-        beta_cf = beta_cf / beta_cf[anchor]
 
     def d_n(theta):
         return _gaussian_ordering_probability(anchored_to_full(theta, anchor), mus, covs)
@@ -316,7 +291,7 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig(),
                    res.iterations, res.converged)
 
 
-def fit_naive(data: MarkerDataset) -> FitReport:
+def fit_naive(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     """Equal weights at unit Euclidean norm; no optimization."""
     d = data.n_markers
     beta = np.full(d, 1.0 / np.sqrt(d))
@@ -427,7 +402,7 @@ METHODS = {
     "parametric": Method(fit_parametric_normal),
     "minmax": Method(fit_minmax, ratio=False, features=("max", "min")),
     "frechet": Method(fit_frechet),
-    "naive": Method(lambda data, cfg: fit_naive(data), ratio=False),
+    "naive": Method(fit_naive, ratio=False),
 }
 METHOD_NAMES = tuple(METHODS)
 

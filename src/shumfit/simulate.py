@@ -118,26 +118,25 @@ def replicate_seed(master_seed: int, replicate_index: int) -> int:
     return master_seed ^ replicate_index
 
 
+def _draw_category(cfg: ScenarioConfig, category: int, n: int, rng) -> np.ndarray:
+    """n rows of one category of the design, drawn from ``rng``."""
+    if cfg.scenario_id == 4:
+        shapes, scales = cfg.weibull_parameters()
+        return np.column_stack([sample_weibull(k, scales[category], n, rng)
+                                for k in shapes])
+    means, cov = cfg.mvn_parameters()
+    return sample_mvn(means[category], cov, n, rng)
+
+
 def generate_scenario(cfg: ScenarioConfig, replicate_index: int) -> MarkerDataset:
     """Draw one dataset for the given replicate index."""
     if replicate_index < 0:
         raise InvalidParameter("replicate index must be non-negative")
     rng = np.random.default_rng(replicate_seed(cfg.master_seed, replicate_index))
-    if cfg.scenario_id == 4:
-        shapes, scales = cfg.weibull_parameters()
-        categories = []
-        for i, n_i in enumerate(cfg.n):
-            cols = [sample_weibull(k, scales[i], n_i, rng) for k in shapes]
-            categories.append(np.column_stack(cols))
-        d = shapes.size
-    else:
-        means, cov = cfg.mvn_parameters()
-        categories = [sample_mvn(means[i], cov, n_i, rng)
-                      for i, n_i in enumerate(cfg.n)]
-        d = means[0].size
+    categories = tuple(_draw_category(cfg, i, n_i, rng) for i, n_i in enumerate(cfg.n))
     return MarkerDataset(
-        categories=tuple(categories),
-        marker_names=tuple(f"m{j + 1}" for j in range(d)),
+        categories=categories,
+        marker_names=tuple(f"m{j + 1}" for j in range(categories[0].shape[1])),
         category_labels=tuple(range(len(cfg.n))),
     )
 
@@ -178,16 +177,7 @@ def population_hum(cfg: ScenarioConfig, beta, mc_n: int = 10**6, seed: int = 0):
         raise InvalidParameter(f"need mc_n >= 1e4, got {mc_n}")
     beta = np.asarray(beta, dtype=float)
     rng = np.random.default_rng(seed)
-    scores = []
-    if cfg.scenario_id == 4:
-        shapes, scales = cfg.weibull_parameters()
-        for scale in scales:
-            cols = [sample_weibull(k, scale, mc_n, rng) for k in shapes]
-            scores.append(np.column_stack(cols) @ beta)
-    else:
-        means, cov = cfg.mvn_parameters()
-        for mean in means:
-            scores.append(sample_mvn(mean, cov, mc_n, rng) @ beta)
+    scores = [_draw_category(cfg, i, mc_n, rng) @ beta for i in range(len(cfg.n))]
     ordered = np.ones(mc_n, dtype=bool)
     for j in range(len(scores) - 1):
         ordered &= scores[j + 1] > scores[j]
@@ -221,24 +211,17 @@ class StudySummary:
         return {m.method: m for m in self.methods}
 
 
-def _fit_one(data: MarkerDataset, method: str, fit_cfg: FitConfig):
-    t0 = time.perf_counter()
-    report = fit_method(data, method, fit_cfg)
-    return report, time.perf_counter() - t0
-
-
 def _replicate_worker(args):
+    """Fit each method on replicate r: {method: (FitReport, seconds)}, None if it raised."""
     cfg, methods, fit_cfg, r = args
     data = generate_scenario(cfg, r)
     out = {}
     for method in methods:
+        t0 = time.perf_counter()
         try:
-            report, elapsed = _fit_one(data, method, fit_cfg)
-        except (ShumFitError, np.linalg.LinAlgError) as exc:
-            out[method] = ("failed", str(exc), 0.0)
-            continue
-        out[method] = (report.ehum_at_solution,
-                       tuple(report.coefficients.beta), elapsed, report.converged)
+            out[method] = (fit_method(data, method, fit_cfg), time.perf_counter() - t0)
+        except (ShumFitError, np.linalg.LinAlgError):
+            out[method] = None
     return out
 
 
@@ -284,21 +267,14 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     summaries = []
     n_failed_total = 0
     for method in methods:
-        ehums, coefs, elapsed, failures, not_converged = [], [], 0.0, 0, 0
-        for rep in results:
-            entry = rep[method]
-            if entry[0] == "failed":
-                failures += 1
-                continue
-            ehums.append(entry[0])
-            coefs.append(np.asarray(entry[1]))
-            elapsed += entry[2]
-            not_converged += not entry[3]
+        fits = [rep[method] for rep in results if rep[method] is not None]
+        failures = len(results) - len(fits)
         n_failed_total += failures
-        if not ehums:
+        if not fits:
             raise StudyAborted(failures, cfg.replications)
 
-        ehums = np.asarray(ehums)
+        ehums = np.asarray([report.ehum_at_solution for report, _ in fits])
+        coefs = [report.coefficients.beta for report, _ in fits]
         ratio = METHODS[method].ratio
         if ratio:
             conv = np.asarray([_anchored_ratio(b, anchor) for b in coefs])
@@ -323,8 +299,8 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             coef_sd=coef_sd,
             coef_bias=bias,
             n_failures=failures,
-            n_not_converged=not_converged,
-            wall_clock=elapsed,
+            n_not_converged=sum(not report.converged for report, _ in fits),
+            wall_clock=sum(seconds for _, seconds in fits),
         ))
 
     if n_failed_total > 0.05 * cfg.replications * len(methods):

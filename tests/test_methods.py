@@ -20,6 +20,7 @@ from shumfit import (
     fit_nshum,
     fit_parametric_normal,
     fit_sshum,
+    min_adjacent_auc,
     polish_bfgs,
     project_scores,
     shum_value,
@@ -31,8 +32,6 @@ from shumfit.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidParameter,
-    SmoothObjectiveRequired,
-    WrongCategoryCount,
 )
 
 from oracles import dot_scores, make_dataset
@@ -90,17 +89,18 @@ def test_positive_rescaling_leaves_ehum_unchanged():
 
 
 def test_polish_requires_smooth_objective():
+    # the polish takes the smoothing spec of a method with a kernel
     rng = np.random.default_rng(4)
     data = make_dataset(rng, m=3, sizes=(6, 6, 6), d=2, spread=1.0)
     start = np.array([1.0, 0.5])
     for name, entry in methods.METHODS.items():
         if entry.kernel is None:
-            with pytest.raises(SmoothObjectiveRequired):
-                polish_bfgs(data, name, start, 0, FitConfig())
-        else:
-            assert np.isfinite(polish_bfgs(data, name, start, 0, FitConfig()).value)
-    with pytest.raises(SmoothObjectiveRequired):
-        polish_bfgs(data, "logit", start, 0, FitConfig())
+            continue
+        spec = methods._smoothing(data, FitConfig(), entry.kernel)
+        res = polish_bfgs(data, spec, start, 0, FitConfig().max_iterations)
+        assert np.isfinite(res.value), name
+        assert res.value >= shum_value(data, start, spec), name
+        assert res.value == shum_value(data, np.array([1.0, *res.argmax]), spec), name
 
 
 # a single marker is the best start at seeds 0 and 32, and at 13 for sshum;
@@ -136,16 +136,18 @@ def test_smoothed_polish_takes_no_gradient_at_a_rejected_trial(monkeypatch):
 
     monkeypatch.setattr(methods, "shum_value", recorded_value)
     monkeypatch.setattr(methods, "shum_gradient", recorded_gradient)
-    polish_bfgs(data, "sshum", np.array([1.0, 8.0, -8.0]), 0, FitConfig())
+    spec = methods._smoothing(data, FitConfig(), methods.METHODS["sshum"].kernel)
+    polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0, FitConfig().max_iterations)
     assert len(values) > len(gradient_values)      # some trial step was rejected
     # gradients only at the start and at accepted steps, each an ascent
     assert all(b > a for a, b in zip(gradient_values, gradient_values[1:]))
 
 
 def test_closed_form_matches_hand_solved_system():
+    # with 4 categories the report is the closed form itself
     rng = np.random.default_rng(5)
-    data = make_dataset(rng, m=3, sizes=(20, 18, 22), d=3, spread=1.0)
-    rep = fit_parametric_normal(data, mode="closed_form")
+    data = make_dataset(rng, m=4, sizes=(20, 18, 22, 19), d=3, spread=1.0)
+    rep = fit_parametric_normal(data)
 
     mus = [np.mean(x, axis=0) for x in data.categories]
     pooled = np.zeros((3, 3))
@@ -155,7 +157,7 @@ def test_closed_form_matches_hand_solved_system():
         pooled += (n - 1) * np.cov(x.T)
         dof += n - 1
     pooled /= dof
-    delta = 0.5 * ((mus[1] - mus[0]) + (mus[2] - mus[1]))
+    delta = ((mus[1] - mus[0]) + (mus[2] - mus[1]) + (mus[3] - mus[2])) / 3.0
     want = np.linalg.solve(pooled, delta)
 
     got = unit_norm_aligned(rep.coefficients.beta, want)
@@ -167,8 +169,7 @@ def test_closed_form_recovers_known_direction_in_large_samples():
     rng = np.random.default_rng(6)
     cats = [rng.normal(mu * np.array([1.0, 2.0]), 1.0, size=(4000, 2)) for mu in range(3)]
     data = MarkerDataset(tuple(cats), ("a", "b"), ("0", "1", "2"))
-    rep = fit_parametric_normal(data, mode="closed_form")
-    got = unit_norm_aligned(rep.coefficients.beta, [1.0, 2.0])
+    got = unit_norm_aligned(methods._closed_form_direction(data), [1.0, 2.0])
     np.testing.assert_allclose(got, np.array([1.0, 2.0]) / np.sqrt(5.0), atol=0.05)
 
 
@@ -182,41 +183,38 @@ def test_closed_form_identity_covariance_returns_delta():
     delta = np.array([0.4, 1.0, 1.6])
     cats = tuple(z + i * delta for i in range(3))
     data = MarkerDataset(cats, ("a", "b", "c"), ("0", "1", "2"))
-    rep = fit_parametric_normal(data, mode="closed_form")
-    ratio = rep.coefficients.beta / rep.coefficients.beta[0]
-    np.testing.assert_allclose(ratio, delta / delta[0], atol=1e-9)
+    direction = methods._closed_form_direction(data)
+    np.testing.assert_allclose(direction / direction[0], delta / delta[0], atol=1e-9)
 
 
-def test_integral_mode_requires_three_categories():
-    rng = np.random.default_rng(7)
-    data = make_dataset(rng, m=4, sizes=(8, 8, 8, 8), d=2, spread=1.0)
-    with pytest.raises(WrongCategoryCount):
-        fit_parametric_normal(data, mode="integral")
-
-
-def test_auto_mode_selects_integral_for_three_categories():
+def test_four_categories_get_the_closed_form():
     rng = np.random.default_rng(8)
-    data = make_dataset(rng, m=3, sizes=(15, 15, 15), d=2, spread=1.0)
-    auto = fit_parametric_normal(data, mode="auto")
-    integral = fit_parametric_normal(data, mode="integral")
-    np.testing.assert_array_equal(auto.coefficients.beta, integral.coefficients.beta)
-
     data4 = make_dataset(rng, m=4, sizes=(8, 8, 8, 8), d=2, spread=1.0)
-    auto4 = fit_parametric_normal(data4, mode="auto")
-    assert auto4.iterations == 0  # closed form needs no iterations
+    assert fit_parametric_normal(data4).iterations == 0  # closed form needs no iterations
 
 
 def test_integral_refinement_never_loses_to_its_start():
     rng = np.random.default_rng(9)
     data = make_dataset(rng, m=3, sizes=(25, 25, 25), d=2, spread=0.8)
-    closed = fit_parametric_normal(data, mode="closed_form")
-    refined = fit_parametric_normal(data, mode="integral")
+    closed = methods._closed_form_direction(data)
+    refined = fit_parametric_normal(data)
     mus, covs = methods._category_moments(data)
     assert methods._gaussian_ordering_probability(
         refined.coefficients.beta, mus, covs
-    ) >= methods._gaussian_ordering_probability(
-        closed.coefficients.beta, mus, covs
-    ) - 1e-12
+    ) >= methods._gaussian_ordering_probability(closed, mus, covs) - 1e-12
+
+
+def test_integral_fit_keeps_the_closed_form_orientation():
+    # the closed-form direction's last coefficient and its largest-magnitude
+    # one are negative: anchoring at either would reverse the ranking
+    rng = np.random.default_rng(0)
+    means = [np.zeros(3), np.array([-1.0, 0.3, -0.2]), np.array([-2.0, 0.6, -0.4])]
+    cats = tuple(rng.normal(mu, 1.0, size=(120, 3)) for mu in means)
+    data = MarkerDataset(cats, ("a", "b", "c"), ("0", "1", "2"))
+    closed = ehum_fast(project_scores(data, methods._closed_form_direction(data))).value
+    rep = fit_parametric_normal(data)
+    assert rep.iterations > 0
+    assert rep.ehum_at_solution >= closed - 0.01
 
 
 def test_gaussian_ordering_probability_against_monte_carlo():
@@ -242,16 +240,14 @@ def test_minmax_needs_two_markers_and_reports_derived_pair():
     assert rep.ehum_at_solution >= 0.9  # max of separated markers still separates
 
 
-def test_frechet_bounds_and_bad_bound():
+def test_frechet_maximizes_the_upper_bound_under_its_table_name():
     rng = np.random.default_rng(12)
     data = make_dataset(rng, m=3, sizes=(10, 10, 10), d=2, spread=1.0)
-    upper = fit_frechet(data, bound="upper")
-    lower = fit_frechet(data, bound="lower")
-    assert upper.method == "frechet_upper"
-    assert lower.method == "frechet_lower"
-    assert fit_frechet(data).method == "frechet_upper"
-    with pytest.raises(InvalidParameter):
-        fit_frechet(data, bound="middle")
+    rep = fit_frechet(data)
+    assert rep.method == "frechet"
+    scores = project_scores(data, rep.coefficients.beta)
+    assert rep.objective_at_solution == min_adjacent_auc(scores)
+    assert rep.objective_at_solution >= rep.ehum_at_solution
 
 
 @given(st.integers(1, 12))

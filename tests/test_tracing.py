@@ -65,6 +65,16 @@ def test_benchmark_workloads_reach_every_required_boundary(monkeypatch, tmp_path
     fit_tracer, status = _traced(run, "cli.main", shumfit.cli.main, argv)
     capsys.readouterr()
     assert status == 0
+    boot_csv = tmp_path / "input4.csv"
+    boot_markers = run.gaussian_csv(boot_csv, rng, 20, 4, np.linspace(0.25, 0.75, 4),
+                                    np.eye(4))
+    boot_methods = run.BootstrapM4.methods
+    argv = ["fit", "--data", str(boot_csv), "--outcome", "stage",
+            "--markers", ",".join(boot_markers), "--methods", ",".join(boot_methods),
+            "--bootstrap", "2", "--format", "csv", "--out", str(tmp_path / "boot")]
+    boot_tracer, status = _traced(run, "cli.main", shumfit.cli.main, argv)
+    capsys.readouterr()
+    assert status == 0
     methods = shumfit.cli.STUDY_METHODS
     study = ScenarioConfig(scenario_id=1, n=(15, 15, 15), replications=2)
     study_tracer, _ = _traced(run, "simulate.run_study", shumfit.simulate.run_study,
@@ -73,6 +83,8 @@ def test_benchmark_workloads_reach_every_required_boundary(monkeypatch, tmp_path
     for tracer, required in (
         (fit_tracer, run.FitN1000.required + tuple(f"methods.fit_{m}" for m in smoothed)),
         (study_tracer, run.Study.required + tuple(f"methods.fit_{m}" for m in methods)),
+        (boot_tracer, run.BootstrapM4.required
+         + tuple(f"methods.fit_{m}" for m in boot_methods)),
     ):
         assert [name for name in required if tracer.calls(name) == 0] == []
 
