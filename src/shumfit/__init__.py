@@ -61,7 +61,6 @@ from .simulate import (
     generate_scenario,
     identity_cov,
     population_hum,
-    replicate_seed,
     run_study,
     sample_mvn,
     sample_weibull,

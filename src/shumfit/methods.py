@@ -433,8 +433,8 @@ def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
                  point: Optional[FitReport] = None) -> BootstrapSummary:
     """Stratified bootstrap standard errors for one method.
 
-    Replicate r uses an independent generator seeded seed + r, so results do
-    not depend on scheduling.  Coefficients are converted to unit Euclidean
+    Replicate r draws from ``default_rng([seed, r])``, so results do not
+    depend on scheduling and two seeds share no resample.  Coefficients are converted to unit Euclidean
     norm aligned with the point estimate before taking standard deviations
     (replicates may anchor at different markers).  ``point`` is the caller's
     fit of ``method`` on ``data`` with ``cfg``; it is fitted here when not
@@ -450,7 +450,7 @@ def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
     ehums = []
     n_failed = 0
     for r in range(B):
-        rng = np.random.default_rng(seed + r)
+        rng = np.random.default_rng([seed, r])
         try:
             rep = fit_method(_resample(data, rng), method, cfg)
         except (ShumFitError, np.linalg.LinAlgError):

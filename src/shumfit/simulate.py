@@ -5,8 +5,9 @@ multivariate normal with identity, exchangeable(0.2), or AR1(0.2) covariance
 and mean spacing delta = (1.0, 1.1, 1.2); and a Weibull design where the
 shape varies by marker (0.5, 1, 1.5) and the scale by category (1, 2, 3).
 
-Replicate r draws from a generator seeded ``master_seed XOR r``, so studies
-are reproducible bit-for-bit regardless of worker count or scheduling.
+Replicate r draws from ``default_rng([master_seed, r])``, so studies are
+reproducible bit-for-bit regardless of worker count or scheduling, and two
+master seeds share no replicate.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ def sample_weibull(shape: float, scale: float, n: int, rng) -> np.ndarray:
     return weibull_quantile(rng.random(n), shape, scale)
 
 
-def replicate_seed(master_seed: int, replicate_index: int) -> int:
-    return master_seed ^ replicate_index
-
-
 def _draw_category(cfg: ScenarioConfig, category: int, n: int, rng) -> np.ndarray:
     """n rows of one category of the design, drawn from ``rng``."""
     if cfg.scenario_id == 4:
@@ -132,7 +129,7 @@ def generate_scenario(cfg: ScenarioConfig, replicate_index: int) -> MarkerDatase
     """Draw one dataset for the given replicate index."""
     if replicate_index < 0:
         raise InvalidParameter("replicate index must be non-negative")
-    rng = np.random.default_rng(replicate_seed(cfg.master_seed, replicate_index))
+    rng = np.random.default_rng([cfg.master_seed, replicate_index])
     categories = tuple(_draw_category(cfg, i, n_i, rng) for i, n_i in enumerate(cfg.n))
     return MarkerDataset(
         categories=categories,

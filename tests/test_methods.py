@@ -316,6 +316,26 @@ def test_bootstrap_differs_across_seeds():
     assert a.se_ehum != b.se_ehum
 
 
+def test_bootstrap_seeds_share_no_resample(monkeypatch):
+    # under seed + r, seeds 3 and 4 shared B - 1 of their B resamples
+    rng = np.random.default_rng(15)
+    data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
+    drawn = []
+    resample = methods._resample
+
+    def recorded(d, gen):
+        out = resample(d, gen)
+        drawn[-1].add(b"".join(x.tobytes() for x in out.categories))
+        return out
+
+    monkeypatch.setattr(methods, "_resample", recorded)
+    for seed in (3, 4):
+        drawn.append(set())
+        bootstrap_se(data, "naive", B=5, seed=seed)
+    assert len(drawn[0]) == len(drawn[1]) == 5
+    assert not drawn[0] & drawn[1]
+
+
 def test_bootstrap_degenerate_data_gives_zero_se():
     # every row within a category identical: resampling is a no-op
     cats = tuple(np.tile([[float(j), 2.0 * j]], (5, 1)) for j in range(3))

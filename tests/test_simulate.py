@@ -12,7 +12,6 @@ from shumfit import (
     generate_scenario,
     identity_cov,
     population_hum,
-    replicate_seed,
     run_study,
     sample_mvn,
     sample_weibull,
@@ -88,11 +87,15 @@ def test_weibull_sampler_moments():
     assert y.mean() == pytest.approx(math.gamma(3.0), abs=0.1)
 
 
-def test_replicate_seed_is_xor():
-    assert replicate_seed(5, 3) == 6
-    assert replicate_seed(1, 0) == 1
-    seeds = {replicate_seed(1, r) for r in range(100)}
-    assert len(seeds) == 100
+def test_master_seeds_give_different_studies():
+    # under master_seed XOR r, seeds 0 and 5 drew the same 8 replicates
+    cfgs = [ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=8, master_seed=s)
+            for s in (0, 5)]
+    firsts = [{generate_scenario(cfg, r).categories[0].tobytes() for r in range(8)}
+              for cfg in cfgs]
+    assert not firsts[0] & firsts[1]
+    a, b = (run_study(cfg, ["parametric"]).by_method()["parametric"] for cfg in cfgs)
+    assert a.mean_ehum != b.mean_ehum
 
 
 def test_generate_scenario_is_deterministic_per_replicate():
