@@ -434,9 +434,9 @@ def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
     """Stratified bootstrap standard errors for one method.
 
     Replicate r draws from ``default_rng([seed, r])``, so results do not
-    depend on scheduling and two seeds share no resample.  Coefficients are converted to unit Euclidean
-    norm aligned with the point estimate before taking standard deviations
-    (replicates may anchor at different markers).  ``point`` is the caller's
+    depend on scheduling and two seeds share no resample.  Coefficients are
+    converted to unit Euclidean norm aligned with the point estimate before
+    taking standard deviations (replicates may anchor at different markers).  ``point`` is the caller's
     fit of ``method`` on ``data`` with ``cfg``; it is fitted here when not
     given.  More than 10% failed replicates aborts.
     """

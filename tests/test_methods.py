@@ -317,7 +317,7 @@ def test_bootstrap_differs_across_seeds():
 
 
 def test_bootstrap_seeds_share_no_resample(monkeypatch):
-    # under seed + r, seeds 3 and 4 shared B - 1 of their B resamples
+    # consecutive seeds: replicate r of one must not be replicate r+1 of the other
     rng = np.random.default_rng(15)
     data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
     drawn = []

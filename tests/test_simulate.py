@@ -88,7 +88,7 @@ def test_weibull_sampler_moments():
 
 
 def test_master_seeds_give_different_studies():
-    # under master_seed XOR r, seeds 0 and 5 drew the same 8 replicates
+    # seeds 0 and 5 differ only in bits below the replicate count
     cfgs = [ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=8, master_seed=s)
             for s in (0, 5)]
     firsts = [{generate_scenario(cfg, r).categories[0].tobytes() for r in range(8)}
