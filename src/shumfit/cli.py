@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import MarkerDataset, load_csv, project_scores
-from .errors import ShumFitError, StudyAborted
+from .errors import InvalidParameter, ShumFitError, StudyAborted
 from .hum import ehum_fast, random_guess_baseline
 from .methods import (
     METHOD_NAMES,
@@ -96,12 +96,21 @@ def _out_dir(args):
 
 
 def _workers(args):
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("SHUMFIT_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    """--workers, else SHUMFIT_WORKERS, else the CPUs this process may run on."""
+    value, source = getattr(args, "workers", None), "--workers"
+    if value is None:
+        value, source = os.environ.get("SHUMFIT_WORKERS") or None, "SHUMFIT_WORKERS"
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameter(f"{source} must be a positive integer, got {value!r}")
+    return workers
 
 
 def _fail(message, code):
@@ -155,6 +164,7 @@ def cmd_fit(args):
         data = _load_dataset(args)
         methods = _parse_methods(args.methods, METHOD_NAMES)
         lam, auto_lam = _resolve_lambda(args, data)
+        workers = _workers(args) if args.bootstrap else 1
     except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
 
@@ -166,8 +176,8 @@ def cmd_fit(args):
             if args.bootstrap:
                 report = dataclasses.replace(
                     report,
-                    bootstrap=bootstrap_se(data, method, args.bootstrap,
-                                           args.seed, cfg, point=report),
+                    bootstrap=bootstrap_se(data, method, args.bootstrap, args.seed,
+                                           cfg, point=report, workers=workers),
                 )
         except (ShumFitError, np.linalg.LinAlgError) as exc:
             return _fail(f"fit failed for method {method}: {exc}", 3)
@@ -239,6 +249,7 @@ def cmd_fit(args):
     _write_json(os.path.join(out, "timings.json"),
                 {"manifest_hash": manifest["manifest_hash"],
                  "command": args.raw_argv,
+                 "workers": workers,
                  "wall_clock_s": time.perf_counter() - t0})
 
     _print_fit_table(data, reports)
@@ -283,11 +294,12 @@ def cmd_simulate(args):
         methods = _parse_methods(args.methods, METHOD_NAMES)
         cfg = ScenarioConfig(scenario_id=args.scenario, n=n,
                              replications=args.reps, master_seed=args.seed)
+        workers = _workers(args)
     except (ShumFitError, ValueError) as exc:
         return _fail(str(exc), 2)
 
     try:
-        summary = run_study(cfg, methods, FitConfig(), workers=_workers(args))
+        summary = run_study(cfg, methods, FitConfig(), workers=workers)
     except StudyAborted as exc:
         return _fail(str(exc), 3)
     except ShumFitError as exc:
@@ -334,7 +346,7 @@ def cmd_simulate(args):
     _write_json(os.path.join(out, "manifest.json"), manifest)
     _write_json(os.path.join(out, "timings.json"),
                 {"manifest_hash": mhash, "command": args.raw_argv,
-                 "method_wall_clock_s": timings})
+                 "workers": workers, "method_wall_clock_s": timings})
 
     print(f"scenario {args.scenario}  n={n}  R={args.reps}  seed={args.seed}")
     print(f"{'method':<12}{'mean ehum':>12}{'sd':>10}{'failures':>10}")

@@ -8,6 +8,7 @@ method optimized.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -419,6 +420,22 @@ def fit_method(data: MarkerDataset, method: str, cfg: FitConfig = FitConfig()) -
 # ---------------------------------------------------------------------------
 
 
+def _map_in_order(fn, tasks: list, workers: int = 1) -> list:
+    """``[fn(t) for t in tasks]``, on up to ``workers`` processes.
+
+    One worker or one task runs serially in this process.  Otherwise a pool
+    of at most one process per task runs them, and the results come back in
+    task order, so they cannot depend on the worker count.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # about four chunks per worker evens out fits of uneven length
+    chunksize = -(-len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
 def _resample(data: MarkerDataset, rng) -> MarkerDataset:
     # stratified: resample with replacement within each category, sizes kept
     categories = tuple(
@@ -428,17 +445,31 @@ def _resample(data: MarkerDataset, rng) -> MarkerDataset:
                          data.n_dropped)
 
 
+def _bootstrap_replicate(task) -> Optional[FitReport]:
+    """Fit ``method`` on resample r, drawn from ``default_rng([seed, r])``.
+
+    Returns None when the fit fails; any other error propagates.
+    """
+    data, method, cfg, seed, r = task
+    try:
+        return fit_method(_resample(data, np.random.default_rng([seed, r])), method, cfg)
+    except (ShumFitError, np.linalg.LinAlgError):
+        return None
+
+
 def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
-                 cfg: FitConfig = FitConfig(),
-                 point: Optional[FitReport] = None) -> BootstrapSummary:
+                 cfg: FitConfig = FitConfig(), point: Optional[FitReport] = None,
+                 workers: int = 1) -> BootstrapSummary:
     """Stratified bootstrap standard errors for one method.
 
-    Replicate r draws from ``default_rng([seed, r])``, so results do not
-    depend on scheduling and two seeds share no resample.  Coefficients are
-    converted to unit Euclidean norm aligned with the point estimate before
-    taking standard deviations (replicates may anchor at different markers).  ``point`` is the caller's
-    fit of ``method`` on ``data`` with ``cfg``; it is fitted here when not
-    given.  More than 10% failed replicates aborts.
+    Replicate r draws from ``default_rng([seed, r])``, so two seeds share no
+    resample.  The B replicate fits run on up to ``workers`` processes and
+    are collected in replicate order, so results do not depend on the
+    worker count.  Coefficients are converted to unit Euclidean norm aligned
+    with the point estimate before taking standard deviations (replicates
+    may anchor at different markers).  ``point`` is the caller's fit of
+    ``method`` on ``data`` with ``cfg``; it is fitted here when not given.
+    More than 10% failed replicates aborts.
     """
     if B < 2:
         raise InvalidParameter(f"need B >= 2 bootstrap replicates, got {B}")
@@ -446,23 +477,15 @@ def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
         point = fit_method(data, method, cfg)
     reference = unit_norm_aligned(point.coefficients.beta)
 
-    coefs = []
-    ehums = []
-    n_failed = 0
-    for r in range(B):
-        rng = np.random.default_rng([seed, r])
-        try:
-            rep = fit_method(_resample(data, rng), method, cfg)
-        except (ShumFitError, np.linalg.LinAlgError):
-            n_failed += 1
-            continue
-        coefs.append(unit_norm_aligned(rep.coefficients.beta, reference))
-        ehums.append(rep.ehum_at_solution)
+    tasks = [(data, method, cfg, seed, r) for r in range(B)]
+    reps = [rep for rep in _map_in_order(_bootstrap_replicate, tasks, workers)
+            if rep is not None]
+    n_failed = B - len(reps)
     if n_failed > 0.10 * B:
         raise BootstrapUnstable(n_failed, B)
 
-    coefs = np.asarray(coefs)
-    ehums = np.asarray(ehums)
+    coefs = np.asarray([unit_norm_aligned(rep.coefficients.beta, reference) for rep in reps])
+    ehums = np.asarray([rep.ehum_at_solution for rep in reps])
     return BootstrapSummary(
         se_coefficients=np.std(coefs, axis=0, ddof=1),
         se_ehum=float(np.std(ehums, ddof=1)),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .data import Coefficients, MarkerDataset, project_scores
 from .errors import InvalidParameter, NotPositiveDefinite, ShumFitError, StudyAborted
-from .methods import METHODS, FitConfig, fit_method
+from .methods import METHODS, FitConfig, _map_in_order, fit_method
 
 DELTA = np.array([1.0, 1.1, 1.2])
 WEIBULL_SHAPES = np.array([0.5, 1.0, 1.5])    # per marker
@@ -241,20 +240,17 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     Weibull one) so bias columns are comparable to the oracle; the others
     are averaged as fitted and get no bias.  Fits whose polisher stopped
     without converging still count, and are reported per method as
-    ``n_not_converged``.  Aggregation order is fixed by replicate
-    index; worker count cannot change results.  More than 5% failed
-    (replicate, method) fits aborts the study.
+    ``n_not_converged``.  The R replicates run on up to ``workers``
+    processes (serial by default) and are aggregated in replicate order, so
+    the worker count cannot change results.  More than 5% failed (replicate,
+    method) fits aborts the study.
     """
     methods = list(methods)
     for m in methods:
         if m not in METHODS:
             raise InvalidParameter(f"unknown method {m!r}")
     tasks = [(cfg, tuple(methods), fit_cfg, r) for r in range(cfg.replications)]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, tasks, chunksize=4))
-    else:
-        results = [_replicate_worker(t) for t in tasks]
+    results = _map_in_order(_replicate_worker, tasks, workers)
 
     truth = None
     if cfg.scenario_id != 4:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import time
 from types import SimpleNamespace
@@ -261,6 +262,56 @@ def test_workers_env_override(monkeypatch):
     assert cli._workers(SimpleNamespace(workers=5)) == 5
     monkeypatch.delenv("SHUMFIT_WORKERS")
     assert cli._workers(SimpleNamespace(workers=None)) >= 1
+
+
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("SHUMFIT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert cli._workers(SimpleNamespace(workers=None)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._workers(SimpleNamespace(workers=None)) == 64
+
+
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-3", None), (None, "abc"), (None, "0"), (None, "2.5"),
+])
+def test_invalid_worker_counts_exit_2(tmp_path, capsys, monkeypatch, flag, env):
+    monkeypatch.delenv("SHUMFIT_WORKERS", raising=False)
+    if env:
+        monkeypatch.setenv("SHUMFIT_WORKERS", env)
+    sim = ["simulate", "--scenario", "1", "--n", "5,5,5", "--reps", "2",
+           "--methods", "naive", "--out", str(tmp_path / "s")]
+    assert cli.main(sim + (["--workers", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive integer" in err
+    if env:
+        csv = tmp_path / "data.csv"
+        write_dataset(csv)
+        fit = ["fit", "--data", str(csv), "--outcome", "outcome", "--markers", "m1,m2",
+               "--methods", "naive", "--out", str(tmp_path / "f")]
+        assert cli.main(fit + ["--bootstrap", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: SHUMFIT_WORKERS")
+        assert not (tmp_path / "f").exists()
+
+
+def test_fit_bootstrap_outputs_do_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    args = ["fit", "--data", str(csv), "--outcome", "outcome",
+            "--markers", "m1,m2", "--methods", "empirical,minmax,naive",
+            "--bootstrap", "5", "--seed", "4", "--format", "csv"]
+    outs, stdouts = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SHUMFIT_WORKERS", workers)
+        outs.append(tmp_path / f"w{workers}")
+        assert cli.main(args + ["--out", str(outs[-1])]) == 0
+        stdouts.append(capsys.readouterr().out)
+        assert json.loads(read(outs[-1] / "timings.json"))["workers"] == int(workers)
+    assert multiprocessing.active_children() == []
+    assert stdouts[0] == stdouts[1]
+    for name in ("fit_report.json", "fit_report.csv", "manifest.json"):
+        assert read(outs[0] / name) == read(outs[1] / name), name
 
 
 def test_fit_reruns_are_byte_identical(tmp_path, capsys):

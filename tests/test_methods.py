@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from shumfit.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidParameter,
+    ShumFitError,
 )
 
 from oracles import dot_scores, make_dataset
@@ -387,6 +389,88 @@ def test_bootstrap_aborts_when_most_replicates_fail(monkeypatch):
         bootstrap_se(data, "naive", B=5, seed=0)
     assert exc.value.n_failed == 5
     assert exc.value.n_total == 5
+
+
+@pytest.mark.parametrize("method", ["empirical", "frechet", "minmax", "parametric"])
+def test_bootstrap_worker_count_changes_nothing(method):
+    rng = np.random.default_rng(20)
+    data = make_dataset(rng, m=4, sizes=(12, 10, 11, 12), d=3, spread=0.8)
+    point = fit_method(data, method)
+    serial = bootstrap_se(data, method, B=6, seed=5, point=point, workers=1)
+    pooled = bootstrap_se(data, method, B=6, seed=5, point=point, workers=2)
+    np.testing.assert_array_equal(serial.se_coefficients, pooled.se_coefficients)
+    assert serial.se_ehum == pooled.se_ehum
+    assert serial.n_failures == pooled.n_failures
+
+
+# pool workers see the patched method table only when forked from this process
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="needs the fork start method")
+@pytest.mark.parametrize("failing, unstable", [((3,), False), ((1, 4), True)])
+def test_bootstrap_failures_agree_across_worker_counts(monkeypatch, failing, unstable):
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng, m=3, sizes=(8, 8, 8), d=2, spread=1.0)
+    B, seed = 10, 2
+    # the fitter recognises the failing replicates by their resampled rows
+    doomed = {b"".join(x.tobytes() for x in methods._resample(
+        data, np.random.default_rng([seed, r])).categories) for r in failing}
+
+    def flaky(d, cfg):
+        if b"".join(x.tobytes() for x in d.categories) in doomed:
+            raise ShumFitError("injected")
+        return fit_naive(d)
+
+    monkeypatch.setitem(methods.METHODS, "naive",
+                        dataclasses.replace(methods.METHODS["naive"], fit=flaky))
+    summaries = []
+    for workers in (1, 2):
+        if unstable:
+            with pytest.raises(BootstrapUnstable) as exc:
+                bootstrap_se(data, "naive", B=B, seed=seed, workers=workers)
+            assert exc.value.n_failed == len(failing)
+        else:
+            summaries.append(bootstrap_se(data, "naive", B=B, seed=seed, workers=workers))
+            assert summaries[-1].n_failures == len(failing)
+    if summaries:
+        serial, pooled = summaries
+        np.testing.assert_array_equal(serial.se_coefficients, pooled.se_coefficients)
+        assert serial.se_ehum == pooled.se_ehum
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs in process and records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, n_tasks, pool_size", [
+    (1, 5, None), (8, 1, None), (8, 0, None), (2, 5, 2), (64, 3, 3),
+])
+def test_map_in_order_starts_no_more_processes_than_tasks(monkeypatch, workers,
+                                                          n_tasks, pool_size):
+    monkeypatch.setattr(methods, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    tasks = list(range(n_tasks))
+    assert methods._map_in_order(lambda t: -t, tasks, workers) == [-t for t in tasks]
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_map_in_order_returns_results_in_task_order():
+    tasks = list(range(9))
+    assert methods._map_in_order(abs, [-t for t in tasks], 2) == tasks
 
 
 def test_resample_preserves_shapes_and_pool():

@@ -72,9 +72,12 @@ def test_benchmark_workloads_reach_every_required_boundary(monkeypatch, tmp_path
     argv = ["fit", "--data", str(boot_csv), "--outcome", "stage",
             "--markers", ",".join(boot_markers), "--methods", ",".join(boot_methods),
             "--bootstrap", "2", "--format", "csv", "--out", str(tmp_path / "boot")]
+    # replicate fits on pool workers would escape this process's tracer
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
     boot_tracer, status = _traced(run, "cli.main", shumfit.cli.main, argv)
     capsys.readouterr()
     assert status == 0
+    assert boot_tracer.calls("methods.fit") == len(boot_methods) * (2 + 1)
     methods = shumfit.cli.STUDY_METHODS
     study = ScenarioConfig(scenario_id=1, n=(15, 15, 15), replications=2)
     study_tracer, _ = _traced(run, "simulate.run_study", shumfit.simulate.run_study,
