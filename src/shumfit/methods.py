@@ -430,10 +430,8 @@ def _map_in_order(fn, tasks: list, workers: int = 1) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
-    # about four chunks per worker evens out fits of uneven length
-    chunksize = -(-len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks, chunksize=4))
 
 
 def _resample(data: MarkerDataset, rng) -> MarkerDataset:
