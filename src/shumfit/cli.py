@@ -31,6 +31,7 @@ from .methods import (
     FitConfig,
     bootstrap_se,
     fit_method,
+    fit_naive,
     unit_norm_aligned,
 )
 from .simulate import ScenarioConfig, run_study
@@ -364,8 +365,7 @@ def cmd_hum(args):
     try:
         data = _load_dataset(args)
         if args.weights.strip() == "naive":
-            d = data.n_markers
-            weights = np.full(d, 1.0 / np.sqrt(d))
+            weights = fit_naive(data).coefficients.beta
         else:
             weights = np.array([float(w) for w in args.weights.split(",")])
         if weights.size != data.n_markers:

@@ -136,12 +136,20 @@ def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
     return bfgs_maximize(value, gradient, theta0, max_iterations)
 
 
-def _report(data, method, beta, anchor, objective_value, iterations, converged) -> FitReport:
+def _report(data, method, beta, anchor, objective_value=None, iterations=0,
+            converged=True) -> FitReport:
+    """The report of the linear combination ``beta``, anchored at ``anchor``.
+
+    ``ehum_at_solution`` is the exact empirical HUM at ``beta``;
+    ``objective_value=None`` means the method's objective is that HUM.  The
+    defaults describe a report that took no iterations.
+    """
+    ehum = _ehum_at(data, beta)
     return FitReport(
         method=method,
         coefficients=Coefficients(beta, anchor),
-        ehum_at_solution=_ehum_at(data, beta),
-        objective_at_solution=float(objective_value),
+        ehum_at_solution=ehum,
+        objective_at_solution=ehum if objective_value is None else float(objective_value),
         iterations=int(iterations),
         converged=bool(converged),
     )
@@ -259,26 +267,25 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> 
     categories and several markers, per-category moments are plugged into the
     Gaussian ordering probability, evaluated by 201-node Gauss-Legendre
     quadrature on [-8, 8], and maximized by BFGS with finite-difference
-    gradients from the closed-form direction, anchored at its last
-    coefficient when positive, else at its largest.  A direction with no
-    positive coefficient gets the closed-form report, since dividing by a
-    negative anchor would reverse the ranking.
+    gradients from the closed-form direction.
+
+    HUM is invariant to positive scaling only, so the direction is anchored
+    where that keeps its orientation: at its last coefficient when positive;
+    otherwise it is scaled to unit norm and, for the integral, anchored at
+    its largest coefficient when positive.  Any other direction gets the
+    closed-form report without an anchor.
     """
-    beta_cf, anchor = _anchor_preserving_orientation(_closed_form_direction(data))
+    beta_cf = _closed_form_direction(data)
     integral = data.n_categories == 3 and data.n_markers > 1
-    if integral and anchor is None and beta_cf.max() > 0:
-        anchor = int(np.argmax(beta_cf))
+    if beta_cf[-1] > 1e-10:
+        anchor = beta_cf.size - 1
+    else:
+        beta_cf = unit_norm_aligned(beta_cf)
+        anchor = int(np.argmax(beta_cf)) if integral and beta_cf.max() > 0 else None
+    if anchor is not None:
         beta_cf = beta_cf / beta_cf[anchor]
     if not integral or anchor is None:
-        value = _ehum_at(data, beta_cf)
-        return FitReport(
-            method="parametric",
-            coefficients=Coefficients(beta_cf, anchor),
-            ehum_at_solution=value,
-            objective_at_solution=value,
-            iterations=0,
-            converged=True,
-        )
+        return _report(data, "parametric", beta_cf, anchor)
 
     mus, covs = _category_moments(data)
 
@@ -295,16 +302,7 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> 
 def fit_naive(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     """Equal weights at unit Euclidean norm; no optimization."""
     d = data.n_markers
-    beta = np.full(d, 1.0 / np.sqrt(d))
-    value = _ehum_at(data, beta)
-    return FitReport(
-        method="naive",
-        coefficients=Coefficients(beta, None),
-        ehum_at_solution=value,
-        objective_at_solution=value,
-        iterations=0,
-        converged=True,
-    )
+    return _report(data, "naive", np.full(d, 1.0 / np.sqrt(d)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +339,6 @@ def _closed_form_direction(data: MarkerDataset) -> np.ndarray:
     if not np.all(np.isfinite(direction)):
         raise SingularCovariance("pooled covariance is numerically singular")
     return direction
-
-
-def _anchor_preserving_orientation(beta: np.ndarray):
-    """Anchor at the last marker when that keeps orientation; else unit norm.
-
-    HUM is invariant to positive scaling only, so dividing by a negative
-    coefficient would flip the ranking direction.
-    """
-    d = beta.size
-    if beta[d - 1] > 1e-10:
-        return beta / beta[d - 1], d - 1
-    return unit_norm_aligned(beta), None
 
 
 _GL_NODES = None

@@ -17,9 +17,9 @@ score:
   ``kernel_deriv``, listed flat row by row, in row blocks of at most about
   ``_BLOCK`` pairs.  A row's pairs are contiguous, so row sums are taken
   with ``np.add.reduceat``; column sums with ``np.bincount``.  The band's
-  index and difference arrays live in one workspace per call
-  (``_workspace``), so repeated calls reuse their memory instead of
-  page-faulting it in anew.
+  column indices, differences and one spare product array live in one
+  workspace per call (``_workspace``), so repeated calls reuse their memory
+  instead of page-faulting it in anew.
 
 T (``SATURATION``) is fixed by float rounding, not chosen: expit(36.8)
 already rounds to 1 and expit(-37) = 8.5e-17, ndtr(8.3) rounds to 1 and
@@ -68,19 +68,18 @@ SATURATION = {Kernel.SIGMOID: 37.0, Kernel.NORMAL: 8.5}
 _BLOCK = 1 << 19
 
 
+def _check_lambda(lam):
+    if not lam > 0:
+        raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class SmoothingSpec:
     kernel: Kernel
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise NonPositiveLambda(f"lambda must be > 0, got {self.lam}")
-
-
-def _check_lambda(lam):
-    if not lam > 0:
-        raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
+        _check_lambda(self.lam)
 
 
 def kernel_eval(kind: Kernel, x, lam: float):
@@ -129,20 +128,14 @@ def lambda_rule_check(data: MarkerDataset, beta, lam: float) -> float:
     """Fraction of adjacent-category cross pairs with |beta'(x-y)|/lam > 5.
 
     The smoothed objective tracks the empirical one well when this fraction
-    is near 1; callers warn below 0.9.  Counted over sorted scores, two
-    binary searches per level.
+    is near 1; callers warn below 0.9.  The pairs within 5*lam are the
+    chain's bands at that reach (``_bands``).
     """
     _check_lambda(lam)
     scores = [np.sort(s) for s in project_scores(data, beta)]
-    reach = 5.0 * lam
-    hits = 0
-    total = 0
-    for prev, cur in zip(scores, scores[1:]):
-        far_below = np.searchsorted(prev, cur - reach, side="left")
-        far_above = prev.size - np.searchsorted(prev, cur + reach, side="right")
-        hits += int(far_below.sum() + far_above.sum())
-        total += prev.size * cur.size
-    return hits / total
+    total = sum(prev.size * cur.size for prev, cur in zip(scores, scores[1:]))
+    near = sum(int(band.starts[-1]) for band in _bands(scores, 5.0 * lam))
+    return (total - near) / total
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +143,13 @@ def lambda_rule_check(data: MarkerDataset, beta, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Band(NamedTuple):
-    """The pairs of one level, split by saturation over sorted score vectors.
+    """The pairs of one level, split by a reach over sorted score vectors.
 
-    ``prev[:high[r]]`` lies more than T*lam below ``cur[r]``, where the
-    kernel is exactly ``_HIGH``; ``prev[high[r]:high[r] + width[r]]`` is the
-    band of row r; the pairs above it are dropped.  ``bounds`` cuts the rows
-    into blocks of at most ``_BLOCK`` pairs plus one row, at least one block.
+    ``prev[:high[r]]`` lies more than the reach below ``cur[r]``, where at
+    the chain's reach T*lam the kernel is exactly ``_HIGH``;
+    ``prev[high[r]:high[r] + width[r]]`` is the band of row r; the pairs
+    above it are dropped.  ``bounds`` cuts the rows into blocks of at most
+    ``_BLOCK`` pairs plus one row, at least one block.
     """
 
     high: np.ndarray
@@ -182,8 +176,8 @@ class _Band(NamedTuple):
             out[rows] += np.add.reduceat(x, self.starts[rows] - self.starts[a])
 
 
-def _bands(ordered, spec: SmoothingSpec):
-    reach = SATURATION[spec.kernel] * spec.lam
+def _bands(ordered, reach: float):
+    """The ``_Band`` of each level: the pairs within ``reach`` of each other."""
     bands = []
     for prev, cur in zip(ordered, ordered[1:]):
         high = np.searchsorted(prev, cur - reach, side="left")
@@ -198,37 +192,36 @@ def _bands(ordered, spec: SmoothingSpec):
 
 
 def _workspace(bands):
-    """Room for the four per-pair arrays of the largest block of any level.
+    """Room for the three per-pair arrays of the largest block of any level.
 
     One allocation per chain call, shared by every block of every level.
     Given a dozen band-sized temporaries per block instead, malloc hands
     their memory back to the system at the end of each call and the next
     call page-faults it in again: at n=1000, 2,200 faults and two fifths of
-    the time of a value call.  With the band's arrays in one allocation at
-    least twice the size of the kernel arrays alive beside it, malloc keeps
-    the memory from call to call.
+    the time of a value call.  With the band's arrays in one allocation
+    larger than any kernel array alive beside it, malloc keeps the memory
+    from call to call.
     """
     size = max(band.size(a, b) for band in bands for a, b in band.blocks())
-    return np.empty((4, size))
+    return np.empty((3, size))
 
 
 def _pairs(prev, cur, band: _Band, a: int, b: int, work):
     """The band pairs of rows a .. b-1 as views into ``work``.
 
-    Returns ``(rows, cols, diff, spare)``: the flat row and column indices
-    of the pairs, ``diff = cur[rows] - prev[cols]``, and a float array of
-    the same length for the caller's products.
+    Returns ``(cols, diff, spare)``: the column index of each pair in flat
+    order, ``diff = cur[row] - prev[col]``, and a float array of the same
+    length for the caller's products.
     """
     m = band.size(a, b)
     width = band.width[a:b]
-    rows, cols = work[:2, :m].view(np.intp)              # float64 and intp are both 8 bytes
-    diff, spare = work[2, :m], work[3, :m]
+    cols = work[0, :m].view(np.intp)                     # float64 and intp are both 8 bytes
+    diff, spare = work[1, :m], work[2, :m]
     # Each temporary is copied into the workspace and dropped at once, so
     # few band-sized arrays are alive beside it.
-    rows[:] = np.repeat(np.arange(a, b), width)
     np.add(np.repeat(band.shift[a:b], width), np.arange(band.starts[a], band.starts[b]), out=cols)
     np.subtract(np.repeat(cur[a:b], width), prev[cols], out=diff)
-    return rows, cols, diff, spare
+    return cols, diff, spare
 
 
 def _chain_up(v, prev, cur, band: _Band, work, spec: SmoothingSpec):
@@ -236,7 +229,7 @@ def _chain_up(v, prev, cur, band: _Band, work, spec: SmoothingSpec):
     below = np.concatenate(([0.0], np.cumsum(v)))        # below[i] = v[:i].sum()
     out = _HIGH * below[band.high]
     for a, b in band.blocks():
-        _, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
+        cols, diff, spare = _pairs(prev, cur, band, a, b, work)
         k = kernel_eval(spec.kernel, diff, spec.lam)
         k *= np.take(v, cols, out=spare, mode="clip")
         band.add_row_sums(a, b, k, out)
@@ -246,7 +239,7 @@ def _chain_up(v, prev, cur, band: _Band, work, spec: SmoothingSpec):
 def shum_from_scores(scores, spec: SmoothingSpec) -> float:
     """Smoothed HUM of fixed score vectors via the banded sorted chain."""
     ordered = [np.sort(s) for s in scores]
-    bands = _bands(ordered, spec)
+    bands = _bands(ordered, SATURATION[spec.kernel] * spec.lam)
     work = _workspace(bands)
     v = np.ones(ordered[0].size)
     for prev, cur, band in zip(ordered, ordered[1:], bands):
@@ -276,7 +269,7 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     m = len(scores)
     order = [np.argsort(s, kind="stable") for s in scores]
     ordered = [s[o] for s, o in zip(scores, order)]
-    bands = _bands(ordered, spec)
+    bands = _bands(ordered, SATURATION[spec.kernel] * spec.lam)
     work = _workspace(bands)
     prefixes = [np.ones(ordered[0].size)]
     for j in range(m - 2):
@@ -293,11 +286,12 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
             above = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))  # w[r:].sum()
             w_next = _HIGH * above[saturated_from]
         for a, b in band.blocks():
-            rows, cols, diff, spare = _pairs(prev, cur, band, a, b, work)
+            cols, diff, spare = _pairs(prev, cur, band, a, b, work)
             g = kernel_deriv(spec.kernel, diff, spec.lam)
             if j > 0:
                 k = kernel_eval(spec.kernel, diff, spec.lam)
-            w_rows = np.take(w, rows, out=diff, mode="clip")      # diff is no longer needed
+            w_rows = diff                                         # diff is no longer needed
+            w_rows[:] = np.repeat(w[a:b], band.width[a:b])
             u_cols = np.take(u, cols, out=spare, mode="clip")
             u_cols *= g
             band.add_row_sums(a, b, u_cols, g_u)

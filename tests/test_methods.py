@@ -219,6 +219,30 @@ def test_integral_fit_keeps_the_closed_form_orientation():
     assert rep.ehum_at_solution >= closed - 0.01
 
 
+@pytest.mark.parametrize("m, step, anchor", [
+    (3, (1.0, 0.5, 2.0), 2),        # positive last coefficient
+    (3, (-1.0, 0.3, -0.2), 1),      # last not positive: the largest, if positive
+    (3, (-1.0, -0.5, -2.0), None),  # no positive coefficient: the closed form
+    (4, (1.0, 0.5, -2.0), None),    # closed form with a non-positive last one
+])
+def test_parametric_anchor_keeps_the_closed_form_orientation(m, step, anchor):
+    rng = np.random.default_rng(3)
+    cats = tuple(rng.normal(j * np.array(step), 1.0, size=(120, 3)) for j in range(m))
+    data = MarkerDataset(cats, ("a", "b", "c"), tuple(str(j) for j in range(m)))
+    closed = methods._closed_form_direction(data)
+    assert np.array_equal(np.sign(closed), np.sign(step))
+    rep = fit_parametric_normal(data)
+    assert rep.coefficients.anchor_index == anchor
+    if anchor is None:
+        assert np.linalg.norm(rep.coefficients.beta) == pytest.approx(1.0)
+        np.testing.assert_allclose(rep.coefficients.beta, unit_norm_aligned(closed))
+        assert rep.iterations == 0 and rep.converged
+        assert rep.objective_at_solution == rep.ehum_at_solution
+    else:
+        assert rep.coefficients.beta[anchor] == 1.0
+        assert rep.iterations > 0
+
+
 def test_gaussian_ordering_probability_against_monte_carlo():
     rng = np.random.default_rng(10)
     mus = [np.array([0.0]), np.array([1.0]), np.array([2.0])]

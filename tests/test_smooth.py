@@ -184,6 +184,18 @@ def test_lambda_rule_check_matches_pair_fraction():
     assert want == 10 / 15   # four pairs sit exactly 5*lam apart
 
 
+def test_lambda_rule_check_over_several_blocks_and_a_wide_lambda(monkeypatch):
+    rng = np.random.default_rng(9)
+    data = make_dataset(rng, m=4, sizes=(30, 25, 40, 20), d=2, spread=0.5)
+    beta = np.array([1.0, -0.6])
+    scores = [dot_scores(c, beta) for c in data.categories]
+    monkeypatch.setattr(smooth, "_BLOCK", 7)
+    for lam in (0.01, 0.1, 0.5):
+        assert lambda_rule_check(data, beta, lam) == pair_rule_fraction(scores, lam)
+    # every pair lies within 5*lam
+    assert lambda_rule_check(data, beta, 100.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # banded chain against the dense chain
 # ---------------------------------------------------------------------------
