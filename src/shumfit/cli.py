@@ -174,12 +174,6 @@ def cmd_fit(args):
     for method in methods:
         try:
             report = fit_method(data, method, cfg)
-            if args.bootstrap:
-                report = dataclasses.replace(
-                    report,
-                    bootstrap=bootstrap_se(data, method, args.bootstrap, args.seed,
-                                           cfg, point=report, workers=workers),
-                )
         except (ShumFitError, np.linalg.LinAlgError) as exc:
             return _fail(f"fit failed for method {method}: {exc}", 3)
         reports[method] = report
@@ -190,6 +184,12 @@ def cmd_fit(args):
             if frac < 0.9:
                 print("warning: smoothing bandwidth may be too wide for this data",
                       file=sys.stderr)
+    if args.bootstrap:
+        try:
+            summaries = bootstrap_se(data, reports, args.bootstrap, args.seed, cfg, workers)
+        except (ShumFitError, np.linalg.LinAlgError) as exc:
+            return _fail(f"bootstrap failed: {exc}", 3)
+        reports = {m: dataclasses.replace(r, bootstrap=summaries[m]) for m, r in reports.items()}
 
     config = {
         "data": os.path.basename(args.data),

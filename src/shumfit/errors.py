@@ -70,10 +70,11 @@ class SingularCovariance(ShumFitError):
 
 
 class BootstrapUnstable(ShumFitError):
-    def __init__(self, n_failed, n_total):
+    def __init__(self, method, n_failed, n_total):
         super().__init__(
-            f"{n_failed}/{n_total} bootstrap replicates failed (>10% threshold)"
+            f"{method}: {n_failed}/{n_total} bootstrap replicates failed (>10% threshold)"
         )
+        self.method = method
         self.n_failed = n_failed
         self.n_total = n_total
 

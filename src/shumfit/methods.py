@@ -8,6 +8,7 @@ method optimized.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -429,50 +430,54 @@ def _resample(data: MarkerDataset, rng) -> MarkerDataset:
                          data.n_dropped)
 
 
-def _bootstrap_replicate(task) -> Optional[FitReport]:
-    """Fit ``method`` on resample r, drawn from ``default_rng([seed, r])``.
+def _fit_each(data: MarkerDataset, methods, cfg: FitConfig) -> dict:
+    """Fit each method on ``data``: {method: (FitReport, seconds)}, None if it raised."""
+    out = {}
+    for method in methods:
+        t0 = time.perf_counter()
+        try:
+            out[method] = (fit_method(data, method, cfg), time.perf_counter() - t0)
+        except (ShumFitError, np.linalg.LinAlgError):
+            out[method] = None
+    return out
 
-    Returns None when the fit fails; any other error propagates.
-    """
-    data, method, cfg, seed, r = task
-    try:
-        return fit_method(_resample(data, np.random.default_rng([seed, r])), method, cfg)
-    except (ShumFitError, np.linalg.LinAlgError):
-        return None
+
+def _bootstrap_replicate(task) -> dict:
+    """:func:`_fit_each` on resample r, drawn from ``default_rng([seed, r])``."""
+    data, methods, cfg, seed, r = task
+    return _fit_each(_resample(data, np.random.default_rng([seed, r])), methods, cfg)
 
 
-def bootstrap_se(data: MarkerDataset, method: str, B: int = 100, seed: int = 0,
-                 cfg: FitConfig = FitConfig(), point: Optional[FitReport] = None,
-                 workers: int = 1) -> BootstrapSummary:
-    """Stratified bootstrap standard errors for one method.
+def bootstrap_se(data: MarkerDataset, points: dict, B: int = 100, seed: int = 0,
+                 cfg: FitConfig = FitConfig(), workers: int = 1) -> dict:
+    """Stratified bootstrap standard errors: {method: BootstrapSummary}.
 
-    Replicate r draws from ``default_rng([seed, r])``, so two seeds share no
-    resample.  The B replicate fits run on up to ``workers`` processes and
-    are collected in replicate order, so results do not depend on the
-    worker count.  Coefficients are converted to unit Euclidean norm aligned
-    with the point estimate before taking standard deviations (replicates
-    may anchor at different markers).  ``point`` is the caller's fit of
-    ``method`` on ``data`` with ``cfg``; it is fitted here when not given.
-    More than 10% failed replicates aborts.
+    ``points`` maps each method to its fit on ``data`` with ``cfg``.
+    Replicate r fits every method on one resample, drawn from
+    ``default_rng([seed, r])``, so two seeds share no resample.  The B
+    replicates run on up to ``workers`` processes, in one pool, and are
+    collected in order, so results do not depend on the worker count.
+    Coefficients are set to unit norm aligned with the method's point before
+    taking standard deviations (replicates may anchor at different markers).
+    More than 10% failed replicates of any method aborts.
     """
     if B < 2:
         raise InvalidParameter(f"need B >= 2 bootstrap replicates, got {B}")
-    if point is None:
-        point = fit_method(data, method, cfg)
-    reference = unit_norm_aligned(point.coefficients.beta)
-
-    tasks = [(data, method, cfg, seed, r) for r in range(B)]
-    reps = [rep for rep in _map_in_order(_bootstrap_replicate, tasks, workers)
-            if rep is not None]
-    n_failed = B - len(reps)
-    if n_failed > 0.10 * B:
-        raise BootstrapUnstable(n_failed, B)
-
-    coefs = np.asarray([unit_norm_aligned(rep.coefficients.beta, reference) for rep in reps])
-    ehums = np.asarray([rep.ehum_at_solution for rep in reps])
-    return BootstrapSummary(
-        se_coefficients=np.std(coefs, axis=0, ddof=1),
-        se_ehum=float(np.std(ehums, ddof=1)),
-        n_replicates=B,
-        n_failures=n_failed,
-    )
+    tasks = [(data, tuple(points), cfg, seed, r) for r in range(B)]
+    replicates = _map_in_order(_bootstrap_replicate, tasks, workers)
+    summaries = {}
+    for method, point in points.items():
+        reps = [rep[method][0] for rep in replicates if rep[method] is not None]
+        n_failed = B - len(reps)
+        if n_failed > 0.10 * B:
+            raise BootstrapUnstable(method, n_failed, B)
+        reference = unit_norm_aligned(point.coefficients.beta)
+        coefs = np.asarray([unit_norm_aligned(r.coefficients.beta, reference) for r in reps])
+        ehums = np.asarray([rep.ehum_at_solution for rep in reps])
+        summaries[method] = BootstrapSummary(
+            se_coefficients=np.std(coefs, axis=0, ddof=1),
+            se_ehum=float(np.std(ehums, ddof=1)),
+            n_replicates=B,
+            n_failures=n_failed,
+        )
+    return summaries

@@ -13,7 +13,6 @@ master seeds share no replicate.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,8 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Coefficients, MarkerDataset, project_scores
-from .errors import InvalidParameter, NotPositiveDefinite, ShumFitError, StudyAborted
-from .methods import METHODS, FitConfig, _map_in_order, fit_method
+from .errors import InvalidParameter, NotPositiveDefinite, StudyAborted
+# unused here, but perfbench/tracing.py patches simulate.fit_method
+from .methods import METHODS, FitConfig, _fit_each, _map_in_order, fit_method  # noqa: F401
 
 DELTA = np.array([1.0, 1.1, 1.2])
 WEIBULL_SHAPES = np.array([0.5, 1.0, 1.5])    # per marker
@@ -210,15 +210,7 @@ class StudySummary:
 def _replicate_worker(args):
     """Fit each method on replicate r: {method: (FitReport, seconds)}, None if it raised."""
     cfg, methods, fit_cfg, r = args
-    data = generate_scenario(cfg, r)
-    out = {}
-    for method in methods:
-        t0 = time.perf_counter()
-        try:
-            out[method] = (fit_method(data, method, fit_cfg), time.perf_counter() - t0)
-        except (ShumFitError, np.linalg.LinAlgError):
-            out[method] = None
-    return out
+    return _fit_each(generate_scenario(cfg, r), methods, fit_cfg)
 
 
 def _anchored_ratio(beta: np.ndarray, anchor: int) -> np.ndarray:

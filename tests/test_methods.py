@@ -305,8 +305,9 @@ def test_unit_norm_aligned_conventions():
 def test_bootstrap_is_deterministic_for_fixed_seed():
     rng = np.random.default_rng(14)
     data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
-    a = bootstrap_se(data, "minmax", B=6, seed=99)
-    b = bootstrap_se(data, "minmax", B=6, seed=99)
+    point = fit_method(data, "minmax")
+    a = bootstrap_se(data, {"minmax": point}, B=6, seed=99)["minmax"]
+    b = bootstrap_se(data, {"minmax": point}, B=6, seed=99)["minmax"]
     np.testing.assert_array_equal(a.se_coefficients, b.se_coefficients)
     assert a.se_ehum == b.se_ehum
     assert a.n_replicates == 6 and a.n_failures == 0
@@ -325,20 +326,16 @@ def test_bootstrap_reuses_a_given_point_fit(monkeypatch):
         return original(d, method, cfg)
 
     monkeypatch.setattr(methods, "fit_method", counting)
-    given = bootstrap_se(data, "minmax", B=6, seed=99, point=point)
+    bootstrap_se(data, {"minmax": point}, B=6, seed=99)
     assert fitted == [False] * 6
-    fitted.clear()
-    own = bootstrap_se(data, "minmax", B=6, seed=99)
-    assert fitted == [True] + [False] * 6
-    np.testing.assert_array_equal(given.se_coefficients, own.se_coefficients)
-    assert given.se_ehum == own.se_ehum
 
 
 def test_bootstrap_differs_across_seeds():
     rng = np.random.default_rng(15)
     data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
-    a = bootstrap_se(data, "minmax", B=6, seed=1)
-    b = bootstrap_se(data, "minmax", B=6, seed=2)
+    point = fit_method(data, "minmax")
+    a = bootstrap_se(data, {"minmax": point}, B=6, seed=1)["minmax"]
+    b = bootstrap_se(data, {"minmax": point}, B=6, seed=2)["minmax"]
     assert a.se_ehum != b.se_ehum
 
 
@@ -355,9 +352,10 @@ def test_bootstrap_seeds_share_no_resample(monkeypatch):
         return out
 
     monkeypatch.setattr(methods, "_resample", recorded)
+    point = fit_method(data, "naive")
     for seed in (3, 4):
         drawn.append(set())
-        bootstrap_se(data, "naive", B=5, seed=seed)
+        bootstrap_se(data, {"naive": point}, B=5, seed=seed)
     assert len(drawn[0]) == len(drawn[1]) == 5
     assert not drawn[0] & drawn[1]
 
@@ -366,7 +364,7 @@ def test_bootstrap_degenerate_data_gives_zero_se():
     # every row within a category identical: resampling is a no-op
     cats = tuple(np.tile([[float(j), 2.0 * j]], (5, 1)) for j in range(3))
     data = MarkerDataset(cats, ("a", "b"), ("0", "1", "2"))
-    summary = bootstrap_se(data, "naive", B=2, seed=0)
+    summary = bootstrap_se(data, {"naive": fit_method(data, "naive")}, B=2, seed=0)["naive"]
     assert summary.se_ehum == 0.0
     np.testing.assert_array_equal(summary.se_coefficients, [0.0, 0.0])
 
@@ -375,7 +373,7 @@ def test_bootstrap_rejects_tiny_b():
     rng = np.random.default_rng(16)
     data = make_dataset(rng, m=3, sizes=(8, 8, 8), d=2, spread=1.0)
     with pytest.raises(InvalidParameter):
-        bootstrap_se(data, "naive", B=1)
+        bootstrap_se(data, {"naive": fit_method(data, "naive")}, B=1)
 
 
 def test_bootstrap_tolerates_sparse_failures(monkeypatch):
@@ -391,7 +389,8 @@ def test_bootstrap_tolerates_sparse_failures(monkeypatch):
 
     monkeypatch.setitem(methods.METHODS, "naive",
                         dataclasses.replace(methods.METHODS["naive"], fit=flaky))
-    summary = bootstrap_se(data, "naive", B=20, seed=0)
+    point = fit_method(data, "naive")
+    summary = bootstrap_se(data, {"naive": point}, B=20, seed=0)["naive"]
     assert summary.n_failures == 1
     assert summary.n_replicates == 20
 
@@ -409,8 +408,10 @@ def test_bootstrap_aborts_when_most_replicates_fail(monkeypatch):
 
     monkeypatch.setitem(methods.METHODS, "naive",
                         dataclasses.replace(methods.METHODS["naive"], fit=flaky))
+    point = fit_method(data, "naive")
     with pytest.raises(BootstrapUnstable) as exc:
-        bootstrap_se(data, "naive", B=5, seed=0)
+        bootstrap_se(data, {"naive": point}, B=5, seed=0)
+    assert exc.value.method == "naive"
     assert exc.value.n_failed == 5
     assert exc.value.n_total == 5
 
@@ -420,8 +421,8 @@ def test_bootstrap_worker_count_changes_nothing(method):
     rng = np.random.default_rng(20)
     data = make_dataset(rng, m=4, sizes=(12, 10, 11, 12), d=3, spread=0.8)
     point = fit_method(data, method)
-    serial = bootstrap_se(data, method, B=6, seed=5, point=point, workers=1)
-    pooled = bootstrap_se(data, method, B=6, seed=5, point=point, workers=2)
+    serial = bootstrap_se(data, {method: point}, B=6, seed=5, workers=1)[method]
+    pooled = bootstrap_se(data, {method: point}, B=6, seed=5, workers=2)[method]
     np.testing.assert_array_equal(serial.se_coefficients, pooled.se_coefficients)
     assert serial.se_ehum == pooled.se_ehum
     assert serial.n_failures == pooled.n_failures
@@ -446,14 +447,16 @@ def test_bootstrap_failures_agree_across_worker_counts(monkeypatch, failing, uns
 
     monkeypatch.setitem(methods.METHODS, "naive",
                         dataclasses.replace(methods.METHODS["naive"], fit=flaky))
+    point = fit_method(data, "naive")
     summaries = []
     for workers in (1, 2):
         if unstable:
             with pytest.raises(BootstrapUnstable) as exc:
-                bootstrap_se(data, "naive", B=B, seed=seed, workers=workers)
+                bootstrap_se(data, {"naive": point}, B=B, seed=seed, workers=workers)
             assert exc.value.n_failed == len(failing)
         else:
-            summaries.append(bootstrap_se(data, "naive", B=B, seed=seed, workers=workers))
+            summaries.append(bootstrap_se(data, {"naive": point}, B=B, seed=seed,
+                                          workers=workers)["naive"])
             assert summaries[-1].n_failures == len(failing)
     if summaries:
         serial, pooled = summaries
