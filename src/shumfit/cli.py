@@ -165,6 +165,8 @@ def cmd_fit(args):
         data = _load_dataset(args)
         methods = _parse_methods(args.methods, METHOD_NAMES)
         lam, auto_lam = _resolve_lambda(args, data)
+        if args.bootstrap < 0 or args.bootstrap == 1:
+            raise ShumFitError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
         workers = _workers(args) if args.bootstrap else 1
     except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -7,7 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shumfit import cli
+import shumfit.methods as methods
+from shumfit import cli, fit_naive
+from shumfit.errors import ShumFitError
 
 
 def write_dataset(path, n_per_cat=10, d=2, gap=2.5, seed=0, negative=False):
@@ -131,6 +134,48 @@ def test_fit_failure_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "parametric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("B", ["1", "-3"])
+def test_fit_bootstrap_below_two_exits_2_before_any_fit(tmp_path, capsys, monkeypatch, B):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setattr(cli, "fit_method", None)  # any fit would raise TypeError
+    out = tmp_path / "o"
+    code = cli.main([
+        "fit", "--data", str(csv), "--outcome", "outcome",
+        "--markers", "m1,m2", "--methods", "naive", "--bootstrap", B,
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --bootstrap")
+    assert not out.exists()
+
+
+def test_fit_bootstrap_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    calls = {"n": 0}
+
+    def flaky(d, cfg):
+        calls["n"] += 1
+        if calls["n"] > 1:  # the point fit is call 1; every resample fails
+            raise ShumFitError("injected")
+        return fit_naive(d)
+
+    monkeypatch.setitem(methods.METHODS, "naive",
+                        dataclasses.replace(methods.METHODS["naive"], fit=flaky))
+    out = tmp_path / "o"
+    code = cli.main([
+        "fit", "--data", str(csv), "--outcome", "outcome",
+        "--markers", "m1,m2", "--methods", "minmax,naive", "--bootstrap", "5",
+        "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: bootstrap failed: naive:" in err
+    assert not (out / "fit_report.json").exists()
 
 
 def test_fit_lambda_rule_note_on_auto(tmp_path, capsys):

@@ -495,6 +495,31 @@ def test_map_in_order_starts_no_more_processes_than_tasks(monkeypatch, workers,
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
 
 
+def test_bootstrap_fits_every_method_on_one_resample_per_replicate(monkeypatch):
+    rng = np.random.default_rng(22)
+    data = make_dataset(rng, m=3, sizes=(10, 9, 11), d=2, spread=1.2)
+    points = {m: fit_method(data, m) for m in ("empirical", "minmax", "naive")}
+    own = {m: bootstrap_se(data, {m: point}, B=6, seed=8)[m] for m, point in points.items()}
+    drawn = []
+    resample = methods._resample
+
+    def recorded(d, gen):
+        drawn.append(None)
+        return resample(d, gen)
+
+    monkeypatch.setattr(methods, "_resample", recorded)
+    monkeypatch.setattr(methods, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    shared = bootstrap_se(data, points, B=6, seed=8, workers=2)
+    assert len(drawn) == 6
+    assert RecordingPool.sizes == [2]
+    assert list(shared) == list(points)
+    for m, summary in shared.items():
+        np.testing.assert_array_equal(summary.se_coefficients, own[m].se_coefficients)
+        assert summary.se_ehum == own[m].se_ehum
+        assert summary.n_failures == own[m].n_failures
+
+
 def test_map_in_order_returns_results_in_task_order():
     tasks = list(range(9))
     assert methods._map_in_order(abs, [-t for t in tasks], 2) == tasks
