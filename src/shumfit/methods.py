@@ -472,7 +472,7 @@ def bootstrap_se(data: MarkerDataset, points: dict, B: int = 100, seed: int = 0,
         if n_failed > 0.10 * B:
             raise BootstrapUnstable(method, n_failed, B)
         reference = unit_norm_aligned(point.coefficients.beta)
-        coefs = np.asarray([unit_norm_aligned(r.coefficients.beta, reference) for r in reps])
+        coefs = np.asarray([unit_norm_aligned(rep.coefficients.beta, reference) for rep in reps])
         ehums = np.asarray([rep.ehum_at_solution for rep in reps])
         summaries[method] = BootstrapSummary(
             se_coefficients=np.std(coefs, axis=0, ddof=1),
