@@ -359,6 +359,31 @@ def test_fit_bootstrap_outputs_do_not_depend_on_workers(tmp_path, capsys, monkey
         assert read(outs[0] / name) == read(outs[1] / name), name
 
 
+def test_fit_bootstrap_writes_each_methods_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    out = tmp_path / "o"
+    names = ["empirical", "minmax", "naive"]
+    assert cli.main([
+        "fit", "--data", str(csv), "--outcome", "outcome", "--markers", "m1,m2",
+        "--methods", ",".join(names), "--bootstrap", "4", "--format", "csv",
+        "--out", str(out),
+    ]) == 0
+    reports = json.loads(read(out / "fit_report.json"))["reports"]
+    for m in names:
+        boot = reports[m]["bootstrap"]
+        assert set(boot) == {"se_coefficients", "se_ehum", "replicates", "failures",
+                             "convention"}
+        assert boot["convention"] == "unit_norm_aligned"
+        assert boot["replicates"] == 4
+    rows = [ln.split(",") for ln in read(out / "fit_report.csv").decode().splitlines()]
+    assert [r[0] for r in rows if r[1:2] == ["se_ehum"]] == names
+    se_rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("se(ehum)")]
+    assert len(se_rows) == 1 and len(se_rows[0]) == 3  # empirical and naive
+
+
 def test_fit_reruns_are_byte_identical(tmp_path, capsys):
     csv = tmp_path / "data.csv"
     write_dataset(csv)
