@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input/flag errors, 3 fit failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -58,21 +57,11 @@ def _manifest(config, seed):
     return body
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _write_json(path, obj):
+    # np.float64 subclasses float, so json writes it with float's repr;
+    # arrays and numpy integers go through tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -186,12 +175,12 @@ def cmd_fit(args):
             if frac < 0.9:
                 print("warning: smoothing bandwidth may be too wide for this data",
                       file=sys.stderr)
+    summaries = {}
     if args.bootstrap:
         try:
             summaries = bootstrap_se(data, reports, args.bootstrap, args.seed, cfg, workers)
         except (ShumFitError, np.linalg.LinAlgError) as exc:
             return _fail(f"bootstrap failed: {exc}", 3)
-        reports = {m: dataclasses.replace(r, bootstrap=summaries[m]) for m, r in reports.items()}
 
     config = {
         "data": os.path.basename(args.data),
@@ -224,13 +213,13 @@ def cmd_fit(args):
             "iterations": report.iterations,
             "converged": report.converged,
         }
-        if report.bootstrap is not None:
+        if summaries:
             entry["bootstrap"] = {
-                "se_coefficients": report.bootstrap.se_coefficients,
-                "se_ehum": report.bootstrap.se_ehum,
-                "replicates": report.bootstrap.n_replicates,
-                "failures": report.bootstrap.n_failures,
-                "convention": report.bootstrap.convention,
+                "se_coefficients": summaries[method].se_coefficients,
+                "se_ehum": summaries[method].se_ehum,
+                "replicates": summaries[method].n_replicates,
+                "failures": summaries[method].n_failures,
+                "convention": "unit_norm_aligned",
             }
         payload["reports"][method] = entry
 
@@ -243,8 +232,8 @@ def cmd_fit(args):
             for name, value in zip(names, unit):
                 rows.append([method, name, float(value)])
             rows.append([method, "ehum", report.ehum_at_solution])
-            if report.bootstrap is not None:
-                rows.append([method, "se_ehum", report.bootstrap.se_ehum])
+            if summaries:
+                rows.append([method, "se_ehum", summaries[method].se_ehum])
         _write_csv(os.path.join(out, "fit_report.csv"),
                    ["method", "quantity", "value"], rows,
                    manifest["manifest_hash"])
@@ -255,11 +244,11 @@ def cmd_fit(args):
                  "workers": workers,
                  "wall_clock_s": time.perf_counter() - t0})
 
-    _print_fit_table(data, reports)
+    _print_fit_table(data, reports, summaries)
     return 0
 
 
-def _print_fit_table(data, reports):
+def _print_fit_table(data, reports, summaries):
     methods = list(reports)
     dim_methods = [m for m in methods if METHODS[m].features is None]
     width = max(12, *(len(m) + 2 for m in methods))
@@ -279,11 +268,9 @@ def _print_fit_table(data, reports):
                   f"ehum {reports[m].ehum_at_solution:.3f}")
     print(f"{'ehum':<12}" + "".join(
         f"{reports[m].ehum_at_solution:>{width}.3f}" for m in dim_methods))
-    ses = [m for m in dim_methods if reports[m].bootstrap is not None]
-    if ses:
+    if summaries:
         print(f"{'se(ehum)':<12}" + "".join(
-            f"{reports[m].bootstrap.se_ehum:>{width}.3f}" if reports[m].bootstrap
-            else " " * width for m in dim_methods))
+            f"{summaries[m].se_ehum:>{width}.3f}" for m in dim_methods))
     print(f"baseline 1/M! = {random_guess_baseline(data.n_categories):.4f}")
 
 

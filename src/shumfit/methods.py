@@ -43,14 +43,13 @@ from .smooth import (
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs shared by the fitters.
+    """The fitters' one setting: the smoothing bandwidth ``lam``.
 
-    ``lam=None`` means the 1/sqrt(total n) rule; ``max_iterations`` caps each
-    BFGS or Nelder-Mead polish.
+    ``lam=None`` means the 1/sqrt(total n) rule.  The polishers' iteration
+    cap is ``optimize.MAX_ITERATIONS``.
     """
 
     lam: Optional[float] = None
-    max_iterations: int = 500
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class BootstrapSummary:
     se_ehum: float
     n_replicates: int
     n_failures: int
-    convention: str = "unit_norm_aligned"
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class FitReport:
     objective_at_solution: float
     iterations: int
     converged: bool
-    bootstrap: Optional[BootstrapSummary] = None
 
 
 @dataclass(frozen=True)
@@ -117,13 +114,14 @@ def unit_norm_aligned(beta, reference=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
-                anchor_index: int, max_iterations: int) -> OptimResult:
+                anchor_index: int) -> OptimResult:
     """Simultaneous quasi-Newton refinement of all free coefficients.
 
     Maximizes the smoothed HUM of ``spec``; the empirical and bound
     objectives are piecewise constant and belong to the simplex polisher.
     BFGS evaluates the start first and only accepts ascent steps, so the
-    result is never worse than the start.
+    result is never worse than the start.  It stops after at most
+    ``optimize.MAX_ITERATIONS`` iterations.
     """
     theta0 = np.delete(np.asarray(beta_init, dtype=float), anchor_index)
 
@@ -134,7 +132,7 @@ def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
         beta = anchored_to_full(theta, anchor_index)
         return shum_gradient(data, beta, spec, anchor_index)
 
-    return bfgs_maximize(value, gradient, theta0, max_iterations)
+    return bfgs_maximize(value, gradient, theta0)
 
 
 def _report(data, method, beta, anchor, objective_value=None, iterations=0,
@@ -185,14 +183,14 @@ def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
     if kernel is not None:
         spec = _smoothing(data, cfg, kernel)
         beta0, anchor = _smoothed_start(data, spec, sd)
-        res = polish_bfgs(data, spec, beta0, anchor, cfg.max_iterations)
+        res = polish_bfgs(data, spec, beta0, anchor)
     else:
         anchor = sd.anchor_index
 
         def f(theta):
             return score_objective(project_scores(data, anchored_to_full(theta, anchor)))
 
-        res = nelder_mead_maximize(f, np.delete(sd.beta, anchor), cfg.max_iterations)
+        res = nelder_mead_maximize(f, np.delete(sd.beta, anchor))
     beta = anchored_to_full(res.argmax, anchor)
     return _report(data, method, beta, anchor, res.value, res.iterations,
                    res.converged)
@@ -294,7 +292,7 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> 
         return _gaussian_ordering_probability(anchored_to_full(theta, anchor), mus, covs)
 
     res = bfgs_maximize(d_n, lambda theta: _central_fd(d_n, theta),
-                        np.delete(beta_cf, anchor), cfg.max_iterations)
+                        np.delete(beta_cf, anchor))
     beta = anchored_to_full(res.argmax, anchor)
     return _report(data, "parametric", beta, anchor, res.value,
                    res.iterations, res.converged)

@@ -9,11 +9,11 @@ fitters start from; the smoothed fits run it on the exact empirical HUM and
 leave the smoothed objective to BFGS.  Everything is deterministic:
 identical inputs and settings give bit-identical results.
 
-``max_iterations`` of BFGS and Nelder-Mead is the one setting callers choose
-(``FitConfig.max_iterations`` passes it through).  The rest are module
-constants: GRAD_TOL, REL_OBJ_TOL, ARMIJO_C and BACKTRACK (BFGS);
-NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK and NM_DIAMETER_TOL
-(Nelder-Mead); BRENT_HALF_WIDTH and GRID_POINTS (the 1-D grid pre-scan).
+Every setting is a module constant, read when a routine is called:
+MAX_ITERATIONS (BFGS and each Nelder-Mead run); GRAD_TOL, REL_OBJ_TOL,
+ARMIJO_C and BACKTRACK (BFGS); NM_REFLECT, NM_EXPAND, NM_CONTRACT, NM_SHRINK
+and NM_DIAMETER_TOL (Nelder-Mead); BRENT_HALF_WIDTH and GRID_POINTS (the 1-D
+grid pre-scan).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from scipy.optimize import minimize_scalar
 from .errors import NonFiniteObjective
 
 _MAX_BACKTRACKS = 60
+MAX_ITERATIONS = 500
 GRAD_TOL = 1e-6                   # sup-norm on the gradient
 REL_OBJ_TOL = 1e-10               # relative objective stagnation
 ARMIJO_C = 1e-4
@@ -58,14 +59,13 @@ def _finite_or_raise(value, point, what="objective"):
 # BFGS
 # ---------------------------------------------------------------------------
 
-def bfgs_maximize(f: Callable, grad: Callable, theta0,
-                  max_iterations: int = 500) -> OptimResult:
+def bfgs_maximize(f: Callable, grad: Callable, theta0) -> OptimResult:
     """Quasi-Newton ascent with Armijo backtracking.
 
     ``f(theta) -> value`` is evaluated at the start and at every trial step;
     ``grad(theta) -> gradient`` only at the start and at accepted steps, so a
     rejected trial costs one value.  Stops on gradient sup-norm below
-    ``GRAD_TOL``, relative objective stagnation, or ``max_iterations``.
+    ``GRAD_TOL``, relative objective stagnation, or ``MAX_ITERATIONS``.
     The inverse-Hessian approximation resets to identity whenever the
     curvature condition s'y <= 0 fails.
     """
@@ -82,7 +82,7 @@ def bfgs_maximize(f: Callable, grad: Callable, theta0,
     eye = np.eye(n)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < GRAD_TOL:
             converged = True
@@ -129,7 +129,7 @@ def bfgs_maximize(f: Callable, grad: Callable, theta0,
             converged = True
             break
     else:
-        iterations = max_iterations
+        iterations = MAX_ITERATIONS
 
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     if gnorm < GRAD_TOL:
@@ -203,12 +203,12 @@ def _nm_loop(f, simplex, values, budget):
     return simplex, values, iterations, converged
 
 
-def nelder_mead_maximize(f: Callable, theta0, max_iterations: int = 500) -> OptimResult:
+def nelder_mead_maximize(f: Callable, theta0) -> OptimResult:
     """Simplex maximization for possibly discontinuous objectives.
 
     Initial simplex steps are max(0.1, 0.1|theta0_i|) per coordinate; stops
     when the simplex diameter falls below ``NM_DIAMETER_TOL`` or after
-    ``max_iterations``, then restarts once from the incumbent with a fresh
+    ``MAX_ITERATIONS``, then restarts once from the incumbent with a fresh
     simplex.  Non-finite trial values are treated as -inf (rejected), but a
     non-finite start raises.
     """
@@ -228,7 +228,7 @@ def nelder_mead_maximize(f: Callable, theta0, max_iterations: int = 500) -> Opti
         simplex = _initial_simplex(best_pt)
         values = [best_val] + [safe_f(p) for p in simplex[1:]]
         simplex, values, iters, converged = _nm_loop(
-            safe_f, simplex, values, max_iterations
+            safe_f, simplex, values, MAX_ITERATIONS
         )
         total_iter += iters
         if values[0] > best_val:

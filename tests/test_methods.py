@@ -99,7 +99,7 @@ def test_polish_requires_smooth_objective():
         if entry.kernel is None:
             continue
         spec = methods._smoothing(data, FitConfig(), entry.kernel)
-        res = polish_bfgs(data, spec, start, 0, FitConfig().max_iterations)
+        res = polish_bfgs(data, spec, start, 0)
         assert np.isfinite(res.value), name
         assert res.value >= shum_value(data, start, spec), name
         assert res.value == shum_value(data, np.array([1.0, *res.argmax]), spec), name
@@ -139,7 +139,7 @@ def test_smoothed_polish_takes_no_gradient_at_a_rejected_trial(monkeypatch):
     monkeypatch.setattr(methods, "shum_value", recorded_value)
     monkeypatch.setattr(methods, "shum_gradient", recorded_gradient)
     spec = methods._smoothing(data, FitConfig(), methods.METHODS["sshum"].kernel)
-    polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0, FitConfig().max_iterations)
+    polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0)
     assert len(values) > len(gradient_values)      # some trial step was rejected
     # gradients only at the start and at accepted steps, each an ascent
     assert all(b > a for a, b in zip(gradient_values, gradient_values[1:]))
@@ -311,7 +311,6 @@ def test_bootstrap_is_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(a.se_coefficients, b.se_coefficients)
     assert a.se_ehum == b.se_ehum
     assert a.n_replicates == 6 and a.n_failures == 0
-    assert a.convention == "unit_norm_aligned"
 
 
 def test_bootstrap_reuses_a_given_point_fit(monkeypatch):

@@ -220,7 +220,7 @@ def test_step_down_is_deterministic():
 def test_config_is_frozen():
     cfg = FitConfig()
     with pytest.raises(Exception):
-        cfg.max_iterations = 7
+        cfg.lam = 0.5
 
 
 def test_smooth_objective_through_step_down():

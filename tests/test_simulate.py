@@ -5,7 +5,6 @@ import pytest
 
 from shumfit import (
     METHODS,
-    FitConfig,
     ScenarioConfig,
     ar1_cov,
     exchangeable_cov,
@@ -19,6 +18,7 @@ from shumfit import (
     true_beta_oracle,
     weibull_quantile,
 )
+from shumfit import optimize
 from shumfit.errors import InvalidParameter, NotPositiveDefinite, StudyAborted
 from shumfit.simulate import DELTA, WEIBULL_SCALES, WEIBULL_SHAPES
 
@@ -207,10 +207,11 @@ def test_run_study_single_replicate_warns_and_zeroes_sds():
     assert m.n_failures == 0
 
 
-def test_run_study_counts_non_converged_fits():
+def test_run_study_counts_non_converged_fits(monkeypatch):
     cfg = ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=2)
-    capped = FitConfig(max_iterations=1)
-    by = run_study(cfg, ["sshum", "naive"], capped).by_method()
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "MAX_ITERATIONS", 1)  # read in process: workers=1
+        by = run_study(cfg, ["sshum", "naive"], workers=1).by_method()
     assert by["sshum"].n_not_converged == 2
     assert by["naive"].n_not_converged == 0
     assert run_study(cfg, ["sshum"]).by_method()["sshum"].n_not_converged == 0
