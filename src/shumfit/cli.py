@@ -117,6 +117,8 @@ def _parse_methods(token, allowed):
     for m in methods:
         if m not in allowed:
             raise ShumFitError(f"unknown method {m!r} (choose from {', '.join(allowed)})")
+    if not methods or len(set(methods)) < len(methods):
+        raise ShumFitError(f"--methods must name one or more distinct methods, got {token!r}")
     return methods
 
 

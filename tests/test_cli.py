@@ -114,6 +114,23 @@ def test_fit_unknown_method_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+@pytest.mark.parametrize("token", [",", "naive,naive"])
+def test_empty_or_repeated_methods_exit_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                        command, token):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setattr(cli, "fit_method", None)  # any fit would raise TypeError
+    monkeypatch.setattr(cli, "run_study", None)
+    out = tmp_path / "o"
+    args = {"fit": ["fit", "--data", str(csv), "--outcome", "outcome", "--markers", "m1,m2"],
+            "simulate": ["simulate", "--scenario", "1", "--n", "5,5,5", "--reps", "2",
+                         "--workers", "1"]}[command]
+    assert cli.main(args + ["--methods", token, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --methods")
+    assert not out.exists()
+
+
 def test_fit_bad_lambda_exits_2(tmp_path):
     csv = tmp_path / "data.csv"
     write_dataset(csv)
