@@ -141,6 +141,42 @@ def test_fit_bad_lambda_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [  # the flag under test comes last
+    ["fit", "--methods", "sshum", "--lambda", "nan"],
+    ["fit", "--methods", "sshum", "--lambda", "inf"],
+    ["fit", "--methods", "sshum", "--lambda", "0"],
+    ["fit", "--methods", "sshum", "--lambda", "-1"],
+    ["fit", "--methods", "naive", "--bootstrap", "2", "--seed", "-1"],
+    ["hum", "--weights", "nan,1"],
+])
+def test_non_finite_or_out_of_range_flags_exit_2_before_any_fit(tmp_path, capsys,
+                                                               monkeypatch, argv):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setattr(cli, "fit_method", None)  # any fit would raise TypeError
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    out = tmp_path / "o"
+    code = cli.main(argv + ["--data", str(csv), "--outcome", "outcome",
+                            "--markers", "m1,m2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "hum"])
+def test_unreadable_csv_or_repeated_markers_exit_2(tmp_path, capsys, command):
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes("outcome,m1,m2,note\n0,1,2,café\n1,2,3,x\n".encode("latin-1"))
+    good = tmp_path / "data.csv"
+    write_dataset(good)
+    extra = ["--weights", "1,1"] if command == "hum" else ["--methods", "naive"]
+    for data, markers in [(latin, "m1,m2"), (good, "m1,m1"), (good, "outcome,m1")]:
+        code = cli.main([command, "--data", str(data), "--outcome", "outcome",
+                         "--markers", markers] + extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_fit_failure_exits_3(tmp_path, capsys):
     csv = tmp_path / "tiny.csv"
     write_dataset(csv, n_per_cat=1)

@@ -86,6 +86,84 @@ def test_load_csv_category_emptied_by_drops(tmp_path):
         load_csv(path, "y", ["a"])
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400"])
+def test_load_csv_rejects_non_finite_labels(tmp_path, label):
+    path = write_csv(tmp_path / "t.csv", f"y,a\n0,1\n1,2\n{label},3\n")
+    with pytest.raises(UnparseableNumeric, match="is not a finite number") as err:
+        load_csv(path, "y", ["a"])
+    assert (err.value.row_index, err.value.value) == (3, label)
+
+
+def test_load_csv_short_row_missing_a_marker_is_dropped(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "y,a,b\n0,1,2\n0,3\n1,4,5\n1\n")
+    data = load_csv(path, "y", ["a", "b"])
+    assert data.n_dropped == 2
+    assert data.sizes == (1, 1)
+
+
+def test_load_csv_short_row_missing_its_outcome_raises(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "a,b,y\n1,2,0\n3,4\n5,6,1\n")
+    with pytest.raises(UnparseableNumeric) as err:
+        load_csv(path, "y", ["a", "b"])
+    assert (err.value.row_index, err.value.value) == (2, "")
+
+
+def test_load_csv_drops_non_finite_marker_cells(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "y,a\n0,1\n0,NaN\n1,2\n1,1e400\n1,-inf\n")
+    data = load_csv(path, "y", ["a"])
+    assert data.n_dropped == 3
+    assert data.sizes == (1, 1)
+
+
+@pytest.mark.parametrize("markers", [["a", "a"], ["y", "a"], ["a", "y"]])
+def test_load_csv_rejects_repeated_or_outcome_markers(tmp_path, markers):
+    path = write_csv(tmp_path / "t.csv", "y,a,b\n0,1,2\n1,3,4\n")
+    with pytest.raises(ShumFitError, match="distinct"):
+        load_csv(path, "y", markers)
+
+
+def test_load_csv_non_utf8_file_raises_package_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("y,a,note\n0,1,café\n1,2,x\n".encode("latin-1"))
+    with pytest.raises(ShumFitError, match="UTF-8"):
+        load_csv(str(path), "y", ["a"])
+
+
+def test_load_csv_malformed_csv_raises_package_error(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "y,a\n0,1\n1," + "9" * 200_000 + "\n")
+    with pytest.raises(ShumFitError, match="UTF-8 CSV"):
+        load_csv(path, "y", ["a"])
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", " ", "NA", "nan", "NaN", "inf", "-inf", "1e400", "x", " 2.5 "]),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 1]), st.lists(CELLS, min_size=2, max_size=2)),
+                max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_load_csv_keeps_exactly_the_rows_with_finite_markers(tmp_path_factory, rows):
+    rows = [(0, ["0.5", "1"]), (1, ["2", "-3"])] + rows
+    path = tmp_path_factory.mktemp("prop") / "t.csv"
+    path.write_text("y,a,b\n" + "".join(f"{y},{a},{b}\n" for y, (a, b) in rows),
+                    encoding="utf-8")
+    kept = {0: [], 1: []}
+    for y, cells in rows:
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            continue
+        if np.isfinite(values).all():
+            kept[y].append(values)
+    data = load_csv(str(path), "y", ["a", "b"])
+    assert data.category_labels == (0.0, 1.0)
+    assert data.n_dropped == len(rows) - len(kept[0]) - len(kept[1])
+    for x, expected in zip(data.categories, (kept[0], kept[1])):
+        np.testing.assert_array_equal(x, np.asarray(expected, dtype=float))
+
+
 def test_round_trip_simulated_dataset(tmp_path):
     from shumfit import ScenarioConfig, generate_scenario
 
