@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import MarkerDataset, load_csv, project_scores
+from .data import MarkerDataset, finite_number, load_csv, project_scores
 from .errors import InvalidParameter, ShumFitError, StudyAborted
 from .hum import ehum_fast, random_guess_baseline
 from .methods import (
@@ -141,12 +141,11 @@ def _load_dataset(args):
 
 
 def _resolve_lambda(args, data):
-    if args.lam is None or args.lam == "auto":
+    if args.lam == "auto":
         return default_lambda(data.n_total), True
-    try:
-        lam = float(args.lam)
-    except ValueError:
-        raise ShumFitError(f"--lambda expects a number or 'auto', got {args.lam!r}")
+    lam = finite_number(args.lam)
+    if lam is None or lam <= 0:
+        raise ShumFitError(f"--lambda expects a positive number or 'auto', got {args.lam!r}")
     return lam, False
 
 
@@ -358,7 +357,10 @@ def cmd_hum(args):
         if args.weights.strip() == "naive":
             weights = fit_naive(data).coefficients.beta
         else:
-            weights = np.array([float(w) for w in args.weights.split(",")])
+            weights = [finite_number(w) for w in args.weights.split(",")]
+            if None in weights:
+                raise ShumFitError(f"--weights expects numbers or 'naive', got {args.weights!r}")
+            weights = np.array(weights)
         if weights.size != data.n_markers:
             raise ShumFitError(
                 f"{weights.size} weights for {data.n_markers} markers"

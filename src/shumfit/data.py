@@ -9,6 +9,7 @@ coefficient vector.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,9 +24,6 @@ from .errors import (
     ShumFitError,
     UnparseableNumeric,
 )
-
-MISSING_TOKENS = ("", "NA")
-
 
 @dataclass(frozen=True)
 class MarkerDataset:
@@ -155,77 +153,64 @@ def project_scores(data: MarkerDataset, beta: Sequence[float]) -> list:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_outcome(token: str, row_index: int) -> float:
-    token = token.strip()
-    if token in MISSING_TOKENS:
-        raise UnparseableNumeric(row_index, token)
+def finite_number(token) -> Optional[float]:
+    """``float(token)`` if it parses and is finite, else None.  The one reader
+    of numbers from outside the program: CSV cells and numeric CLI flags."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise UnparseableNumeric(row_index, token) from None
+        return None
+    return value if math.isfinite(value) else None
 
 
 def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> MarkerDataset:
     """Read a comma-separated UTF-8 file into a :class:`MarkerDataset`.
 
-    The header row is mandatory.  Rows with a missing or non-numeric marker
-    value are dropped (complete-case) and counted in ``n_dropped``.  Outcome
-    labels need not be 0..M-1; they are rank-mapped ascending.  A missing or
-    non-numeric outcome raises :class:`UnparseableNumeric` with the row index
-    (1-based, excluding the header).
+    The header row is mandatory and every cell is read by :func:`finite_number`.
+    Rows with a marker cell that is not a finite number (blank, ``NA``, text,
+    ``nan``, ``inf``, or missing from a short row) are dropped complete-case
+    and counted in ``n_dropped``.  Outcome labels are rank-mapped ascending;
+    one that is not a finite number raises :class:`UnparseableNumeric` with
+    the row index (1-based, excluding the header).
     """
-    marker_columns = list(marker_columns)
+    names = [outcome_column, *marker_columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(outcome_column) from None
-        header = [h.strip() for h in header]
-        col_index = {}
-        for name in [outcome_column] + marker_columns:
+        header = [h.strip() for h in next(reader, [])]
+        for name in names:
             if name not in header:
                 raise MissingColumn(name)
-            col_index[name] = header.index(name)
+        columns = [header.index(name) for name in names]
 
         groups: dict = {}
-        seen_labels: dict = {}
         n_dropped = 0
         for row_index, row in enumerate(reader, start=1):
-            if not row or all(tok.strip() == "" for tok in row):
+            if not any(tok.strip() for tok in row):
                 continue
-            label = _parse_outcome(row[col_index[outcome_column]], row_index)
-            seen_labels[label] = True
-            values = []
-            ok = True
-            for name in marker_columns:
-                tok = row[col_index[name]].strip()
-                if tok in MISSING_TOKENS:
-                    ok = False
-                    break
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    ok = False
-                    break
-            if not ok or not all(np.isfinite(values)):
+            cells = [row[c].strip() if c < len(row) else "" for c in columns]
+            label = finite_number(cells[0])
+            if label is None:
+                raise UnparseableNumeric(row_index, cells[0])
+            values = [finite_number(tok) for tok in cells[1:]]
+            rows = groups.setdefault(label, [])  # an empty list: emptied by drops
+            if None in values:
                 n_dropped += 1
-                continue
-            groups.setdefault(label, []).append(values)
+            else:
+                rows.append(values)
 
-    if len(seen_labels) < 2:
+    if len(groups) < 2:
         raise FewerThanTwoCategories(
-            f"found {len(seen_labels)} outcome level(s), need at least 2"
+            f"found {len(groups)} outcome level(s), need at least 2"
         )
-    for label in seen_labels:
-        if label not in groups:
+    for label, rows in groups.items():
+        if not rows:
             raise EmptyCategory(label)
 
     labels = sorted(groups)
     categories = tuple(np.asarray(groups[label], dtype=float) for label in labels)
     return MarkerDataset(
         categories=categories,
-        marker_names=tuple(marker_columns),
+        marker_names=tuple(names[1:]),
         category_labels=tuple(labels),
         n_dropped=n_dropped,
     )

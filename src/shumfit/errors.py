@@ -25,7 +25,7 @@ class EmptyCategory(ShumFitError):
 
 class UnparseableNumeric(ShumFitError):
     def __init__(self, row_index, value):
-        super().__init__(f"row {row_index}: outcome value {value!r} is not numeric")
+        super().__init__(f"row {row_index}: outcome value {value!r} is not a finite number")
         self.row_index = row_index
         self.value = value
 
