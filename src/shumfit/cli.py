@@ -157,6 +157,8 @@ def cmd_fit(args):
         lam, auto_lam = _resolve_lambda(args, data)
         if args.bootstrap < 0 or args.bootstrap == 1:
             raise ShumFitError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
+        if args.seed < 0:
+            raise ShumFitError(f"--seed must be non-negative, got {args.seed}")
         workers = _workers(args) if args.bootstrap else 1
     except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
@@ -365,7 +367,7 @@ def cmd_hum(args):
             raise ShumFitError(
                 f"{weights.size} weights for {data.n_markers} markers"
             )
-    except (ShumFitError, ValueError, OSError) as exc:
+    except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
 
     combined = ehum_fast(project_scores(data, weights)).value

@@ -171,32 +171,40 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
     ``nan``, ``inf``, or missing from a short row) are dropped complete-case
     and counted in ``n_dropped``.  Outcome labels are rank-mapped ascending;
     one that is not a finite number raises :class:`UnparseableNumeric` with
-    the row index (1-based, excluding the header).
+    the row index (1-based, excluding the header).  A repeated marker, a
+    marker that is the outcome, or a file that is not UTF-8 CSV raises
+    :class:`ShumFitError`.
     """
     names = [outcome_column, *marker_columns]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        for name in names:
-            if name not in header:
-                raise MissingColumn(name)
-        columns = [header.index(name) for name in names]
+    if len(set(names)) < len(names):
+        raise ShumFitError(f"markers must be distinct columns other than the outcome "
+                           f"{outcome_column!r}, got {names[1:]}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            for name in names:
+                if name not in header:
+                    raise MissingColumn(name)
+            columns = [header.index(name) for name in names]
 
-        groups: dict = {}
-        n_dropped = 0
-        for row_index, row in enumerate(reader, start=1):
-            if not any(tok.strip() for tok in row):
-                continue
-            cells = [row[c].strip() if c < len(row) else "" for c in columns]
-            label = finite_number(cells[0])
-            if label is None:
-                raise UnparseableNumeric(row_index, cells[0])
-            values = [finite_number(tok) for tok in cells[1:]]
-            rows = groups.setdefault(label, [])  # an empty list: emptied by drops
-            if None in values:
-                n_dropped += 1
-            else:
-                rows.append(values)
+            groups: dict = {}
+            n_dropped = 0
+            for row_index, row in enumerate(reader, start=1):
+                if not any(tok.strip() for tok in row):
+                    continue
+                cells = [row[c].strip() if c < len(row) else "" for c in columns]
+                label = finite_number(cells[0])
+                if label is None:
+                    raise UnparseableNumeric(row_index, cells[0])
+                values = [finite_number(tok) for tok in cells[1:]]
+                rows = groups.setdefault(label, [])  # an empty list: emptied by drops
+                if None in values:
+                    n_dropped += 1
+                else:
+                    rows.append(values)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ShumFitError(f"cannot read {path} as UTF-8 CSV: {exc}") from None
 
     if len(groups) < 2:
         raise FewerThanTwoCategories(
