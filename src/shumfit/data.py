@@ -25,6 +25,7 @@ from .errors import (
     UnparseableNumeric,
 )
 
+
 @dataclass(frozen=True)
 class MarkerDataset:
     """Marker values grouped by ordered outcome category.
@@ -153,9 +154,9 @@ def project_scores(data: MarkerDataset, beta: Sequence[float]) -> list:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def finite_number(token) -> Optional[float]:
+def finite_number(token: str) -> Optional[float]:
     """``float(token)`` if it parses and is finite, else None.  The one reader
-    of numbers from outside the program: CSV cells and numeric CLI flags."""
+    of real numbers from outside the program: CSV cells, --lambda, --weights."""
     try:
         value = float(token)
     except ValueError:
@@ -198,7 +199,7 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
                 if label is None:
                     raise UnparseableNumeric(row_index, cells[0])
                 values = [finite_number(tok) for tok in cells[1:]]
-                rows = groups.setdefault(label, [])  # an empty list: emptied by drops
+                rows = groups.setdefault(label, [])  # stays empty if every row is dropped
                 if None in values:
                     n_dropped += 1
                 else:
