@@ -344,6 +344,64 @@ def test_simulate_abort_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def command_args(command, csv):
+    """A small valid run of each command, without --out."""
+    data = ["--data", str(csv), "--outcome", "outcome", "--markers", "m1,m2"]
+    return {"fit": ["fit", *data, "--methods", "naive,minmax", "--bootstrap", "2",
+                    "--format", "csv"],
+            "simulate": ["simulate", "--scenario", "1", "--n", "8,8,8", "--reps", "2",
+                         "--methods", "naive,minmax", "--workers", "1"],
+            "hum": ["hum", *data, "--weights", "1,0.5"]}[command]
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "hum"])
+def test_out_under_a_regular_file_exits_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                        command):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setattr(cli, "fit_method", None)  # any fit would raise TypeError
+    monkeypatch.setattr(cli, "run_study", None)
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    code = cli.main(command_args(command, csv) + ["--out", str(csv / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "hum"])
+def test_unwritable_manifest_exits_2(tmp_path, capsys, monkeypatch, command):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    assert cli.main(command_args(command, csv) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
+
+
+def test_every_written_file_carries_the_manifest_hash(tmp_path, capsys, monkeypatch):
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    written = {"fit": ("fit_report.json", "fit_report.csv", "timings.json"),
+               "simulate": ("study_summary.json", "study_ehum.csv",
+                            "study_coefficients.csv", "timings.json"),
+               "hum": ("hum.json",)}
+    for command, names in written.items():
+        out = tmp_path / command
+        assert cli.main(command_args(command, csv) + ["--out", str(out)]) == 0
+        mhash = json.loads(read(out / "manifest.json"))["manifest_hash"]
+        for name in names:
+            text = read(out / name).decode()
+            if name.endswith(".csv"):
+                assert text.splitlines()[0] == f"# manifest_hash={mhash}", name
+            else:
+                assert json.loads(text)["manifest_hash"] == mhash, name
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ("manifest.json",))
+    capsys.readouterr()
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("SHUMFIT_OUT_DIR", str(target))
