@@ -2,11 +2,14 @@
 
 Machine outputs are deterministic given the seed: JSON keeps full float
 precision, table CSVs round to 4 decimals, stdout tables to 3.  Wall-clock
-diagnostics go to timings.json only, so every other artifact of a run is
-byte-identical across repeats and worker counts.  All outputs embed the hash
-of the reproducible manifest (command, config, seed, version).
+diagnostics (raw command, workers, timings) go to timings.json only, so every
+other artifact of a run is byte-identical across repeats and worker counts.
+Every file is written by ``_write_outputs``, which embeds the hash of the
+reproducible manifest (config, seed, version) and writes manifest.json.
 
-Exit codes: 0 success, 2 input/flag errors, 3 fit failures.
+Exit codes: 0 success, 2 input/flag errors or an output directory that cannot
+be made or written, 3 fit failures.  The output directory is made as the last
+input check, so an input error leaves none and a fit failure leaves it empty.
 """
 
 from __future__ import annotations
@@ -43,40 +46,38 @@ STUDY_METHODS = ("empirical", "minmax", "parametric", "frechet", "sshum", "nshum
 # manifest and writers
 # ---------------------------------------------------------------------------
 
-def _manifest(config, seed):
-    # reproducible fields only: execution details (raw command, workers,
-    # out dir, timings) live in timings.json so machine outputs stay
-    # byte-identical across runs and worker counts
-    body = {
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-    }
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    body["manifest_hash"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return body
+def _write_outputs(args, out, config, seed, files, timings=None):
+    """Write ``files`` into ``out``, stamped with the manifest hash of ``(config, seed)``.
 
-
-def _write_json(path, obj):
-    # np.float64 subclasses float, so json writes it with float's repr;
-    # arrays and numpy integers go through tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows, manifest_hash):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest_hash={manifest_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt4(v) for v in row) + "\n")
-
-
-def _fmt4(v):
-    if isinstance(v, float):
-        return f"{v:.4f}"
-    return str(v)
+    A dict is written as JSON with a ``manifest_hash`` key; a ``.csv`` entry is
+    ``(header, rows)`` under a ``# manifest_hash=`` line, floats to 4 decimals.
+    manifest.json follows, then timings.json when ``timings`` is given.
+    Returns the exit code: 0, or 2 when a file cannot be written.
+    """
+    manifest = {"config": config, "seed": seed, "version": __version__}
+    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    mhash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    files = {**files, "manifest.json": manifest}
+    if timings is not None:
+        files["timings.json"] = {"command": args.raw_argv, **timings}
+    try:
+        for name, content in files.items():
+            with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
+                if name.endswith(".csv"):
+                    header, rows = content
+                    fh.write(f"# manifest_hash={mhash}\n" + ",".join(header) + "\n")
+                    for row in rows:
+                        fh.write(",".join(f"{v:.4f}" if isinstance(v, float) else str(v)
+                                          for v in row) + "\n")
+                else:
+                    # np.float64 subclasses float, so json writes it with
+                    # float's repr; arrays and numpy integers go through tolist()
+                    json.dump({**content, "manifest_hash": mhash}, fh, indent=2,
+                              sort_keys=True, default=lambda v: v.tolist())
+                    fh.write("\n")
+    except OSError as exc:
+        return _fail(f"cannot write outputs: {exc}", 2)
+    return 0
 
 
 def _out_dir(args):
@@ -160,6 +161,7 @@ def cmd_fit(args):
         if args.seed < 0:
             raise ShumFitError(f"--seed must be non-negative, got {args.seed}")
         workers = _workers(args) if args.bootstrap else 1
+        out = _out_dir(args)
     except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
 
@@ -196,16 +198,7 @@ def cmd_fit(args):
         "log_transform": bool(args.log_transform),
         "format": args.format,
     }
-    manifest = _manifest(config, args.seed)
-    out = _out_dir(args)
-
-    payload = {
-        "manifest_hash": manifest["manifest_hash"],
-        "n_per_category": list(data.sizes),
-        "category_labels": list(data.category_labels),
-        "n_dropped": data.n_dropped,
-        "reports": {},
-    }
+    entries = {}
     for method, report in reports.items():
         entry = {
             "coefficients": report.coefficients.beta,
@@ -224,56 +217,52 @@ def cmd_fit(args):
                 "failures": summaries[method].n_failures,
                 "convention": "unit_norm_aligned",
             }
-        payload["reports"][method] = entry
-
-    _write_json(os.path.join(out, "fit_report.json"), payload)
+        entries[method] = entry
+    files = {"fit_report.json": {
+        "n_per_category": list(data.sizes),
+        "category_labels": list(data.category_labels),
+        "n_dropped": data.n_dropped,
+        "reports": entries,
+    }}
     if args.format == "csv":
         rows = []
-        for method, report in reports.items():
-            unit = unit_norm_aligned(report.coefficients.beta)
+        for method, entry in entries.items():
             names = METHODS[method].features or data.marker_names
-            for name, value in zip(names, unit):
+            for name, value in zip(names, entry["coefficients_unit_norm"]):
                 rows.append([method, name, float(value)])
-            rows.append([method, "ehum", report.ehum_at_solution])
+            rows.append([method, "ehum", entry["ehum"]])
             if summaries:
-                rows.append([method, "se_ehum", summaries[method].se_ehum])
-        _write_csv(os.path.join(out, "fit_report.csv"),
-                   ["method", "quantity", "value"], rows,
-                   manifest["manifest_hash"])
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    _write_json(os.path.join(out, "timings.json"),
-                {"manifest_hash": manifest["manifest_hash"],
-                 "command": args.raw_argv,
-                 "workers": workers,
-                 "wall_clock_s": time.perf_counter() - t0})
-
-    _print_fit_table(data, reports, summaries)
-    return 0
+                rows.append([method, "se_ehum", entry["bootstrap"]["se_ehum"]])
+        files["fit_report.csv"] = (["method", "quantity", "value"], rows)
+    code = _write_outputs(args, out, config, args.seed, files,
+                          {"workers": workers, "wall_clock_s": time.perf_counter() - t0})
+    if code == 0:
+        _print_fit_table(data, entries)
+    return code
 
 
-def _print_fit_table(data, reports, summaries):
-    methods = list(reports)
+def _print_fit_table(data, entries):
+    methods = list(entries)
     dim_methods = [m for m in methods if METHODS[m].features is None]
     width = max(12, *(len(m) + 2 for m in methods))
     if dim_methods:
         print("coefficients (unit norm)")
         print(f"{'marker':<12}" + "".join(f"{m:>{width}}" for m in dim_methods))
-        units = {m: unit_norm_aligned(reports[m].coefficients.beta)
-                 for m in dim_methods}
         for j, name in enumerate(data.marker_names):
-            cells = "".join(f"{units[m][j]:>{width}.3f}" for m in dim_methods)
+            cells = "".join(f"{entries[m]['coefficients_unit_norm'][j]:>{width}.3f}"
+                            for m in dim_methods)
             print(f"{name:<12}" + cells)
     for m in methods:
         if m not in dim_methods:
-            beta = reports[m].coefficients.beta
+            beta = entries[m]["coefficients"]
             first, second = METHODS[m].features
             print(f"{m}: {first} + ({beta[1]:.3f}) * {second}, "
-                  f"ehum {reports[m].ehum_at_solution:.3f}")
+                  f"ehum {entries[m]['ehum']:.3f}")
     print(f"{'ehum':<12}" + "".join(
-        f"{reports[m].ehum_at_solution:>{width}.3f}" for m in dim_methods))
-    if summaries:
+        f"{entries[m]['ehum']:>{width}.3f}" for m in dim_methods))
+    if "bootstrap" in entries[methods[0]]:
         print(f"{'se(ehum)':<12}" + "".join(
-            f"{summaries[m].se_ehum:>{width}.3f}" for m in dim_methods))
+            f"{entries[m]['bootstrap']['se_ehum']:>{width}.3f}" for m in dim_methods))
     print(f"baseline 1/M! = {random_guess_baseline(data.n_categories):.4f}")
 
 
@@ -288,7 +277,8 @@ def cmd_simulate(args):
         cfg = ScenarioConfig(scenario_id=args.scenario, n=n,
                              replications=args.reps, master_seed=args.seed)
         workers = _workers(args)
-    except (ShumFitError, ValueError) as exc:
+        out = _out_dir(args)
+    except (ShumFitError, ValueError, OSError) as exc:
         return _fail(str(exc), 2)
 
     try:
@@ -304,14 +294,8 @@ def cmd_simulate(args):
         "reps": args.reps,
         "methods": methods,
     }
-    manifest = _manifest(config, args.seed)
-    out = _out_dir(args)
-    mhash = manifest["manifest_hash"]
-
-    payload = {"manifest_hash": mhash, "scenario": args.scenario,
-               "n": list(n), "reps": args.reps, "methods": {}}
+    payload = {"scenario": args.scenario, "n": list(n), "reps": args.reps, "methods": {}}
     ehum_rows, coef_rows = [], []
-    timings = {}
     for ms in summary.methods:
         payload["methods"][ms.method] = {
             "mean_ehum": ms.mean_ehum,
@@ -329,17 +313,18 @@ def cmd_simulate(args):
                 float(ms.coef_bias[j]) if ms.coef_bias is not None else "",
                 float(ms.coef_sd[j]),
             ])
-        timings[ms.method] = ms.wall_clock
 
-    _write_json(os.path.join(out, "study_summary.json"), payload)
-    _write_csv(os.path.join(out, "study_ehum.csv"),
-               ["method", "mean_ehum", "sd_ehum", "n_failures"], ehum_rows, mhash)
-    _write_csv(os.path.join(out, "study_coefficients.csv"),
-               ["method", "coefficient", "mean", "bias", "sd"], coef_rows, mhash)
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    _write_json(os.path.join(out, "timings.json"),
-                {"manifest_hash": mhash, "command": args.raw_argv,
-                 "workers": workers, "method_wall_clock_s": timings})
+    files = {
+        "study_summary.json": payload,
+        "study_ehum.csv": (["method", "mean_ehum", "sd_ehum", "n_failures"], ehum_rows),
+        "study_coefficients.csv": (["method", "coefficient", "mean", "bias", "sd"],
+                                   coef_rows),
+    }
+    timings = {ms.method: ms.wall_clock for ms in summary.methods}
+    code = _write_outputs(args, out, config, args.seed, files,
+                          {"workers": workers, "method_wall_clock_s": timings})
+    if code:
+        return code
 
     print(f"scenario {args.scenario}  n={n}  R={args.reps}  seed={args.seed}")
     print(f"{'method':<12}{'mean ehum':>12}{'sd':>10}{'failures':>10}")
@@ -367,6 +352,7 @@ def cmd_hum(args):
             raise ShumFitError(
                 f"{weights.size} weights for {data.n_markers} markers"
             )
+        out = _out_dir(args) if args.out or os.environ.get("SHUMFIT_OUT_DIR") else None
     except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
 
@@ -382,23 +368,19 @@ def cmd_hum(args):
         print(f"  {name:<12}{value:>8.3f}")
     print(f"baseline 1/M!: {baseline:.4f}")
 
-    if args.out or os.environ.get("SHUMFIT_OUT_DIR"):
-        config = {
-            "data": os.path.basename(args.data),
-            "outcome": args.outcome,
-            "markers": list(data.marker_names),
-            "weights": [float(w) for w in weights],
-        }
-        manifest = _manifest(config, 0)
-        out = _out_dir(args)
-        _write_json(os.path.join(out, "hum.json"), {
-            "manifest_hash": manifest["manifest_hash"],
-            "combined_ehum": combined,
-            "individual_ehum": individual,
-            "baseline": baseline,
-        })
-        _write_json(os.path.join(out, "manifest.json"), manifest)
-    return 0
+    if not out:
+        return 0
+    config = {
+        "data": os.path.basename(args.data),
+        "outcome": args.outcome,
+        "markers": list(data.marker_names),
+        "weights": [float(w) for w in weights],
+    }
+    return _write_outputs(args, out, config, 0, {"hum.json": {
+        "combined_ehum": combined,
+        "individual_ehum": individual,
+        "baseline": baseline,
+    }})
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,7 @@ def ehum_fast(scores) -> HumValue:
     dtype = object if n_tuples >= _INT64_SAFE else np.int64
 
     prev_sorted = np.sort(scores[0])
-    if dtype is object:
-        c = np.array([1] * prev_sorted.size, dtype=object)
-    else:
-        c = np.ones(prev_sorted.size, dtype=np.int64)
+    c = np.ones(prev_sorted.size, dtype=dtype)
     for j in range(1, len(scores)):
         s = np.sort(scores[j])
         cum = np.empty(c.size + 1, dtype=dtype)
