@@ -302,6 +302,30 @@ def test_bad_scenario_choice_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_weibull_scenario_with_four_categories_exits_2_before_the_study(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_study", None)  # starting the study would raise TypeError
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--scenario", "4", "--n", "5,5,5,5", "--reps", "2",
+                     "--workers", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: scenario 4")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["1.5,5,5", "0,5,5", "5", "5,,5"])
+def test_bad_simulate_sizes_name_the_flag(tmp_path, capsys, monkeypatch, sizes):
+    monkeypatch.setattr(cli, "run_study", None)
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--scenario", "1", "--n", sizes, "--reps", "2",
+                     "--workers", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --n expects comma-separated positive integers, at least two of them, "
+        f"got {sizes!r}\n")
+    assert not out.exists()
+
+
 def test_simulate_end_to_end_and_byte_identity(tmp_path, capsys):
     args = ["simulate", "--scenario", "1", "--n", "15,15,15", "--reps", "3",
             "--methods", "naive,minmax,parametric", "--seed", "1"]

@@ -112,6 +112,37 @@ def test_generate_scenario_is_deterministic_per_replicate():
         generate_scenario(cfg, -1)
 
 
+# first row of each category of replicate 2 of (7, 6, 5) under master seed 3
+PINNED_FIRST_ROWS = {
+    1: ([0.20662848566847952, -1.5508740984057483, -0.949120399113287],
+        [-0.14780720179030427, 0.9360789697140954, 2.8265018247161433],
+        [1.9313126694242149, 1.6168874614472544, 3.7609285044401624]),
+    2: ([0.20662848566847952, -1.4782143814234998, -1.1288684013621253],
+        [-0.14780720179030427, 0.7098294067172295, 2.515020415509568],
+        [1.9313126694242149, 1.6149312610555584, 3.6058225005779985]),
+    3: ([0.20662848566847952, -1.4782143814234998, -1.225587149202409],
+        [-0.14780720179030427, 0.7098294067172295, 2.715605695847572],
+        [1.9313126694242149, 1.6149312610555584, 3.6164184171260834]),
+    4: ([0.0006693584271572732, 0.3828772025093214, 1.2849220801834913],
+        [2.3491808492024764, 4.372429447388473, 2.0968659645525234],
+        [5.93037706850242, 0.07934305869211383, 3.7091954394280426]),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(PINNED_FIRST_ROWS))
+def test_generate_scenario_draws_are_pinned(sid):
+    data = generate_scenario(ScenarioConfig(sid, (7, 6, 5), master_seed=3), 2)
+    for x, want in zip(data.categories, PINNED_FIRST_ROWS[sid]):
+        np.testing.assert_allclose(x[0], want, rtol=1e-12)
+
+
+def test_weibull_scenario_rejects_other_category_counts():
+    with pytest.raises(InvalidParameter, match="3 categories"):
+        ScenarioConfig(4, (5, 5, 5, 5))
+    with pytest.raises(InvalidParameter, match="3 categories"):
+        ScenarioConfig(4, (5, 5))
+
+
 def test_generate_scenario_category_means():
     cfg = ScenarioConfig(scenario_id=1, n=(30_000, 30_000, 30_000))
     data = generate_scenario(cfg, 0)
