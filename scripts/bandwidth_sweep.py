@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from shumfit import (
+    SCENARIOS,
     FitConfig,
     ScenarioConfig,
     default_lambda,
@@ -28,7 +29,7 @@ from shumfit import (
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--scenario", type=int, default=1, choices=(1, 2, 3, 4))
+    p.add_argument("--scenario", type=int, default=1, choices=sorted(SCENARIOS))
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--points", type=int, default=7)

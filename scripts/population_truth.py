@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from shumfit import ScenarioConfig, population_hum, true_beta_oracle
+from shumfit import SCENARIOS, ScenarioConfig, population_hum
 
 
 def parse_args():
@@ -31,30 +31,23 @@ def parse_args():
 
 def main():
     args = parse_args()
-    for sid in (1, 2, 3):
+    for sid, design in SCENARIOS.items():
         cfg = ScenarioConfig(scenario_id=sid, n=(10, 10, 10))
-        beta = true_beta_oracle(cfg).beta
+        if design.oracle is not None:
+            label, beta = "oracle", design.oracle
+        else:
+            label, beta = "beta", np.array([float(v) for v in args.weibull_beta.split(",")])
         p, se = population_hum(cfg, beta, mc_n=args.mc_n, seed=args.seed)
-        print(f"scenario {sid}: oracle {np.round(beta, 4)}  "
-              f"HUM {p:.4f} (se {se:.4f})")
-
-    cfg4 = ScenarioConfig(scenario_id=4, n=(10, 10, 10))
-    beta4 = np.array([float(v) for v in args.weibull_beta.split(",")])
-    p, se = population_hum(cfg4, beta4, mc_n=args.mc_n, seed=args.seed)
-    print(f"scenario 4: beta {np.round(beta4, 4)}  HUM {p:.4f} (se {se:.4f})")
-
-    if args.scan:
-        best = (-1.0, None)
-        for b1 in np.linspace(0.0, 0.2, 11):
-            for b2 in np.linspace(0.2, 0.7, 11):
-                cand = np.array([b1, b2, 1.0])
-                val, _ = population_hum(cfg4, cand, mc_n=max(args.mc_n // 10, 10**4),
-                                        seed=args.seed)
-                if val > best[0]:
-                    best = (val, cand)
-        val, se = population_hum(cfg4, best[1], mc_n=args.mc_n, seed=args.seed)
-        print(f"scenario 4 grid argmax: beta {np.round(best[1], 4)}  "
-              f"HUM {val:.4f} (se {se:.4f})")
+        print(f"scenario {sid}: {label} {np.round(beta, 4)}  HUM {p:.4f} (se {se:.4f})")
+        if args.scan and design.oracle is None:
+            grid = [np.array([b1, b2, 1.0]) for b1 in np.linspace(0.0, 0.2, 11)
+                    for b2 in np.linspace(0.2, 0.7, 11)]
+            coarse = max(args.mc_n // 10, 10**4)
+            best = max(grid, key=lambda b: population_hum(cfg, b, mc_n=coarse,
+                                                          seed=args.seed)[0])
+            val, se = population_hum(cfg, best, mc_n=args.mc_n, seed=args.seed)
+            print(f"scenario {sid} grid argmax: beta {np.round(best, 4)}  "
+                  f"HUM {val:.4f} (se {se:.4f})")
     return 0
 
 

@@ -15,13 +15,13 @@ import time
 
 import numpy as np
 
-from shumfit import METHODS, ScenarioConfig, run_study, true_beta_oracle
+from shumfit import METHODS, SCENARIOS, ScenarioConfig, run_study
 from shumfit.cli import STUDY_METHODS
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--scenarios", default="1,2,3,4")
+    p.add_argument("--scenarios", default=",".join(map(str, SCENARIOS)))
     p.add_argument("--sizes", default="60,90,120",
                    help="comma-separated per-category n, one study per value")
     p.add_argument("--reps", type=int, default=200)
@@ -41,9 +41,8 @@ def print_block(cfg, summary, methods):
         print(f"{m:<12}{s.mean_ehum:>12.4f}{s.sd_ehum:>10.4f}{s.n_failures:>10d}")
 
     ratio_methods = [m for m in methods if METHODS[m].ratio]
-    if cfg.scenario_id != 4:
-        truth = true_beta_oracle(cfg).beta
-        print("oracle ratios:", np.round(truth, 4))
+    if cfg.design.oracle is not None:
+        print("oracle ratios:", np.round(cfg.design.oracle, 4))
     print(f"{'method':<12}" + "".join(
         f"{f'c{j + 1} mean(sd)':>20}" for j in range(by[methods[0]].coef_mean.size)))
     for m in ratio_methods:

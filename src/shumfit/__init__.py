@@ -53,6 +53,7 @@ from .optimize import (
     step_down,
 )
 from .simulate import (
+    SCENARIOS,
     MethodSummary,
     ScenarioConfig,
     StudySummary,
@@ -64,7 +65,6 @@ from .simulate import (
     run_study,
     sample_mvn,
     sample_weibull,
-    study_anchor_index,
     true_beta_oracle,
     weibull_quantile,
 )

@@ -36,7 +36,7 @@ from .methods import (
     fit_naive,
     unit_norm_aligned,
 )
-from .simulate import ScenarioConfig, run_study
+from .simulate import SCENARIOS, ScenarioConfig, run_study
 from .smooth import default_lambda, lambda_rule_check
 
 STUDY_METHODS = ("empirical", "minmax", "parametric", "frechet", "sshum", "nshum")
@@ -272,13 +272,17 @@ def _print_fit_table(data, entries):
 
 def cmd_simulate(args):
     try:
-        n = tuple(int(v) for v in args.n.split(","))
+        sizes = args.n.split(",")
+        if len(sizes) < 2 or not all(v.strip().isdecimal() and int(v) > 0 for v in sizes):
+            raise ShumFitError("--n expects comma-separated positive integers, at least two "
+                               f"of them, got {args.n!r}")
+        n = tuple(int(v) for v in sizes)
         methods = _parse_methods(args.methods, METHOD_NAMES)
         cfg = ScenarioConfig(scenario_id=args.scenario, n=n,
                              replications=args.reps, master_seed=args.seed)
         workers = _workers(args)
         out = _out_dir(args)
-    except (ShumFitError, ValueError, OSError) as exc:
+    except (ShumFitError, OSError) as exc:
         return _fail(str(exc), 2)
 
     try:
@@ -409,7 +413,7 @@ def build_parser():
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a replication study")
-    sim.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
+    sim.add_argument("--scenario", type=int, choices=sorted(SCENARIOS), required=True)
     sim.add_argument("--n", required=True, help="per-category sizes, e.g. 120,120,120")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--methods", default=",".join(STUDY_METHODS))

@@ -1,9 +1,7 @@
 """Scenario generators and the replication study harness.
 
-Four built-in scenarios over three markers and three ordered categories:
-multivariate normal with identity, exchangeable(0.2), or AR1(0.2) covariance
-and mean spacing delta = (1.0, 1.1, 1.2); and a Weibull design where the
-shape varies by marker (0.5, 1, 1.5) and the scale by category (1, 2, 3).
+The built-in designs are the entries of :data:`SCENARIOS`, one per scenario
+id, each built by :func:`gaussian_design` or :func:`weibull_design`.
 
 Replicate r draws from ``default_rng([master_seed, r])``, so studies are
 reproducible bit-for-bit regardless of worker count or scheduling, and two
@@ -15,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,10 +21,6 @@ from .data import Coefficients, MarkerDataset, project_scores
 from .errors import InvalidParameter, NotPositiveDefinite, StudyAborted
 # unused here, but perfbench/tracing.py patches simulate.fit_method
 from .methods import METHODS, FitConfig, _fit_each, _map_in_order, fit_method  # noqa: F401
-
-DELTA = np.array([1.0, 1.1, 1.2])
-WEIBULL_SHAPES = np.array([0.5, 1.0, 1.5])    # per marker
-WEIBULL_SCALES = np.array([1.0, 2.0, 3.0])    # per category
 
 
 def identity_cov(d: int) -> np.ndarray:
@@ -42,44 +36,6 @@ def exchangeable_cov(rho: float, d: int) -> np.ndarray:
 def ar1_cov(rho: float, d: int) -> np.ndarray:
     idx = np.arange(d)
     return rho ** np.abs(idx[:, None] - idx[None, :])
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A simulation design: scenario id, per-category sizes, R, master seed."""
-
-    scenario_id: int
-    n: tuple
-    replications: int = 200
-    master_seed: int = 1
-
-    def __post_init__(self):
-        if self.scenario_id not in (1, 2, 3, 4):
-            raise InvalidParameter(f"unknown scenario {self.scenario_id}")
-        if len(self.n) < 2 or any(int(v) < 1 for v in self.n):
-            raise InvalidParameter(f"bad category sizes {self.n}")
-        if self.replications < 1:
-            raise InvalidParameter("need at least 1 replication")
-        if self.master_seed < 0:
-            raise InvalidParameter("master seed must be non-negative")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-
-    # -- design resolution ---------------------------------------------------
-
-    def mvn_parameters(self):
-        if self.scenario_id == 4:
-            raise InvalidParameter("scenario 4 is not Gaussian")
-        means = [i * DELTA for i in range(len(self.n))]
-        d = DELTA.size
-        cov = {1: identity_cov(d),
-               2: exchangeable_cov(0.2, d),
-               3: ar1_cov(0.2, d)}[self.scenario_id]
-        return means, cov
-
-    def weibull_parameters(self):
-        if WEIBULL_SCALES.size != len(self.n):
-            raise InvalidParameter("need one Weibull scale per category")
-        return WEIBULL_SHAPES, WEIBULL_SCALES
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +70,79 @@ def sample_weibull(shape: float, scale: float, n: int, rng) -> np.ndarray:
     return weibull_quantile(rng.random(n), shape, scale)
 
 
-def _draw_category(cfg: ScenarioConfig, category: int, n: int, rng) -> np.ndarray:
-    """n rows of one category of the design, drawn from ``rng``."""
-    if cfg.scenario_id == 4:
-        shapes, scales = cfg.weibull_parameters()
-        return np.column_stack([sample_weibull(k, scales[category], n, rng)
-                                for k in shapes])
-    means, cov = cfg.mvn_parameters()
-    return sample_mvn(means[category], cov, n, rng)
+# ---------------------------------------------------------------------------
+# designs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Design:
+    """One simulation design: ``draw(category, n, rng)`` gives n rows of a
+    category; ``anchor`` is the marker the study's ratios divide by, ``oracle``
+    the optimal combination anchored there (None without a closed form), and
+    ``n_categories`` the one category count allowed (None for any)."""
+
+    draw: Callable[..., np.ndarray]
+    anchor: int
+    oracle: Optional[np.ndarray]
+    n_categories: Optional[int] = None
+
+
+def gaussian_design(delta, cov) -> Design:
+    """Category i ~ N(i * delta, cov), for any number of categories.  The oracle
+    solves cov x = delta, anchored at the marker with the smallest spacing."""
+    delta = np.asarray(delta, dtype=float)
+    x = np.linalg.solve(cov, delta)
+    anchor = int(np.argmin(delta))
+    return Design(lambda i, n, rng: sample_mvn(i * delta, cov, n, rng), anchor, x / x[anchor])
+
+
+def weibull_design(shapes, scales) -> Design:
+    """Marker j of category i ~ Weibull(shapes[j], scales[i]), for exactly
+    ``len(scales)`` categories; no closed-form oracle, anchored at the last marker."""
+    shapes = np.asarray(shapes, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+
+    def draw(i, n, rng):  # one uniform draw of n per marker, in marker order
+        return np.column_stack([sample_weibull(k, scales[i], n, rng) for k in shapes])
+    return Design(draw, shapes.size - 1, None, scales.size)
+
+
+SCENARIOS = {
+    1: gaussian_design((1.0, 1.1, 1.2), identity_cov(3)),
+    2: gaussian_design((1.0, 1.1, 1.2), exchangeable_cov(0.2, 3)),
+    3: gaussian_design((1.0, 1.1, 1.2), ar1_cov(0.2, 3)),
+    4: weibull_design(shapes=(0.5, 1.0, 1.5), scales=(1.0, 2.0, 3.0)),
+}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A study of one design: scenario id (a key of ``SCENARIOS``), per-category
+    sizes, R, master seed."""
+
+    scenario_id: int
+    n: tuple
+    replications: int = 200
+    master_seed: int = 1
+
+    def __post_init__(self):
+        if self.scenario_id not in SCENARIOS:
+            raise InvalidParameter(f"unknown scenario {self.scenario_id}")
+        if len(self.n) < 2 or any(int(v) < 1 for v in self.n):
+            raise InvalidParameter(f"bad category sizes {self.n}")
+        k = self.design.n_categories
+        if k is not None and len(self.n) != k:
+            raise InvalidParameter(
+                f"scenario {self.scenario_id} needs exactly {k} categories, got {len(self.n)}")
+        if self.replications < 1:
+            raise InvalidParameter("need at least 1 replication")
+        if self.master_seed < 0:
+            raise InvalidParameter("master seed must be non-negative")
+        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+
+    @property
+    def design(self) -> Design:
+        return SCENARIOS[self.scenario_id]
 
 
 def generate_scenario(cfg: ScenarioConfig, replicate_index: int) -> MarkerDataset:
@@ -129,7 +150,7 @@ def generate_scenario(cfg: ScenarioConfig, replicate_index: int) -> MarkerDatase
     if replicate_index < 0:
         raise InvalidParameter("replicate index must be non-negative")
     rng = np.random.default_rng([cfg.master_seed, replicate_index])
-    categories = tuple(_draw_category(cfg, i, n_i, rng) for i, n_i in enumerate(cfg.n))
+    categories = tuple(cfg.design.draw(i, n_i, rng) for i, n_i in enumerate(cfg.n))
     return MarkerDataset(
         categories=categories,
         marker_names=tuple(f"m{j + 1}" for j in range(categories[0].shape[1])),
@@ -142,26 +163,11 @@ def generate_scenario(cfg: ScenarioConfig, replicate_index: int) -> MarkerDatase
 # ---------------------------------------------------------------------------
 
 def true_beta_oracle(cfg: ScenarioConfig) -> Coefficients:
-    """Optimal combination for the Gaussian scenarios: solve cov x = delta.
-
-    Anchored at the marker with the smallest mean spacing (coefficient 1),
-    the convention the study's coefficient tables use.
-    """
-    if cfg.scenario_id == 4:
-        raise InvalidParameter("no closed-form optimum for the Weibull scenario")
-    means, cov = cfg.mvn_parameters()
-    diffs = [means[j + 1] - means[j] for j in range(len(means) - 1)]
-    delta = np.mean(diffs, axis=0)
-    x = np.linalg.solve(cov, delta)
-    anchor = int(np.argmin(delta))
-    return Coefficients(x / x[anchor], anchor)
-
-
-def study_anchor_index(cfg: ScenarioConfig) -> int:
-    """Anchor used when summarizing fitted coefficients across replicates."""
-    if cfg.scenario_id == 4:
-        return WEIBULL_SHAPES.size - 1
-    return true_beta_oracle(cfg).anchor_index
+    """The design's optimal combination, anchored (coefficient 1) at its study anchor."""
+    design = cfg.design
+    if design.oracle is None:
+        raise InvalidParameter(f"no closed-form optimum for scenario {cfg.scenario_id}")
+    return Coefficients(design.oracle.copy(), design.anchor)
 
 
 def population_hum(cfg: ScenarioConfig, beta, mc_n: int = 10**6, seed: int = 0):
@@ -173,7 +179,7 @@ def population_hum(cfg: ScenarioConfig, beta, mc_n: int = 10**6, seed: int = 0):
         raise InvalidParameter(f"need mc_n >= 1e4, got {mc_n}")
     beta = np.asarray(beta, dtype=float)
     rng = np.random.default_rng(seed)
-    scores = [_draw_category(cfg, i, mc_n, rng) @ beta for i in range(len(cfg.n))]
+    scores = [cfg.design.draw(i, mc_n, rng) @ beta for i in range(len(cfg.n))]
     ordered = np.ones(mc_n, dtype=bool)
     for j in range(len(scores) - 1):
         ordered &= scores[j + 1] > scores[j]
@@ -227,9 +233,8 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
 
     EHUM summaries use each method's achieved empirical HUM.  Coefficient
     summaries of the methods whose ``METHODS`` entry has ``ratio`` are
-    converted to the common anchored-ratio convention (anchor =
-    smallest-spacing marker for the Gaussian scenarios, last marker for the
-    Weibull one) so bias columns are comparable to the oracle; the others
+    converted to the common anchored-ratio convention (the design's
+    ``anchor``) so bias columns are comparable to its oracle; the others
     are averaged as fitted and get no bias.  Fits whose polisher stopped
     without converging still count, and are reported per method as
     ``n_not_converged``.  The R replicates run on up to ``workers``
@@ -244,10 +249,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     tasks = [(cfg, tuple(methods), fit_cfg, r) for r in range(cfg.replications)]
     results = _map_in_order(_replicate_worker, tasks, workers)
 
-    truth = None
-    if cfg.scenario_id != 4:
-        truth = true_beta_oracle(cfg).beta
-    anchor = study_anchor_index(cfg)
+    truth, anchor = cfg.design.oracle, cfg.design.anchor
 
     summaries = []
     n_failed_total = 0
@@ -273,9 +275,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             sd_ehum = 0.0
             coef_sd = np.zeros_like(coef_mean)
             warnings.warn("single-replicate study: SDs reported as 0")
-        bias = None
-        if truth is not None and ratio:
-            bias = coef_mean - truth
+        bias = coef_mean - truth if truth is not None and ratio else None
         summaries.append(MethodSummary(
             method=method,
             mean_ehum=float(ehums.mean()),

@@ -14,15 +14,24 @@ from shumfit import (
     run_study,
     sample_mvn,
     sample_weibull,
-    study_anchor_index,
     true_beta_oracle,
     weibull_quantile,
 )
 from shumfit import optimize
 from shumfit.errors import InvalidParameter, NotPositiveDefinite, StudyAborted
-from shumfit.simulate import DELTA, WEIBULL_SCALES, WEIBULL_SHAPES
 
 from oracles import gaussian_hum_exact
+
+# The built-in designs as documented in ``shumfit.simulate``, restated here so
+# these checks do not read the library's own design table.
+DESIGN_DELTA = np.array([1.0, 1.1, 1.2])
+DESIGN_COV = {
+    1: np.eye(3),
+    2: np.full((3, 3), 0.2) + 0.8 * np.eye(3),                    # exchangeable
+    3: 0.2 ** np.abs(np.subtract.outer(np.arange(3), np.arange(3))),  # AR1
+}
+DESIGN_WEIBULL_SHAPES = np.array([0.5, 1.0, 1.5])   # per marker
+DESIGN_WEIBULL_SCALES = np.array([1.0, 2.0, 3.0])   # per category
 
 
 def test_covariance_constructors():
@@ -45,16 +54,14 @@ def test_scenario_config_validation():
     with pytest.raises(InvalidParameter):
         ScenarioConfig(scenario_id=1, n=(10, 10, 10), replications=0)
     with pytest.raises(InvalidParameter):
-        ScenarioConfig(scenario_id=4, n=(5, 5, 5)).mvn_parameters()
-    with pytest.raises(InvalidParameter):
-        ScenarioConfig(scenario_id=4, n=(5, 5, 5, 5)).weibull_parameters()
+        ScenarioConfig(scenario_id=4, n=(5, 5, 5, 5))
 
 
 def test_mvn_sampler_moments():
     rng = np.random.default_rng(0)
     cov = exchangeable_cov(0.2, 3)
-    x = sample_mvn(DELTA, cov, 100_000, rng)
-    np.testing.assert_allclose(x.mean(axis=0), DELTA, atol=0.02)
+    x = sample_mvn(DESIGN_DELTA, cov, 100_000, rng)
+    np.testing.assert_allclose(x.mean(axis=0), DESIGN_DELTA, atol=0.02)
     np.testing.assert_allclose(np.corrcoef(x.T)[0, 1], 0.2, atol=0.02)
     assert np.linalg.norm(np.cov(x.T) - cov) < 0.05
 
@@ -147,16 +154,16 @@ def test_generate_scenario_category_means():
     cfg = ScenarioConfig(scenario_id=1, n=(30_000, 30_000, 30_000))
     data = generate_scenario(cfg, 0)
     for i, x in enumerate(data.categories):
-        np.testing.assert_allclose(x.mean(axis=0), i * DELTA, atol=0.03)
+        np.testing.assert_allclose(x.mean(axis=0), i * DESIGN_DELTA, atol=0.03)
 
 
 def test_generate_scenario_weibull_design():
     cfg = ScenarioConfig(scenario_id=4, n=(50_000, 50_000, 50_000))
     data = generate_scenario(cfg, 0)
-    assert data.n_markers == WEIBULL_SHAPES.size
+    assert data.n_markers == DESIGN_WEIBULL_SHAPES.size
     # marker with unit shape is exponential: mean equals the category scale
-    k1 = int(np.where(WEIBULL_SHAPES == 1.0)[0][0])
-    for scale, x in zip(WEIBULL_SCALES, data.categories):
+    k1 = int(np.where(DESIGN_WEIBULL_SHAPES == 1.0)[0][0])
+    for scale, x in zip(DESIGN_WEIBULL_SCALES, data.categories):
         assert x[:, k1].mean() == pytest.approx(scale, rel=0.03)
     assert (data.categories[0] >= 0).all()
 
@@ -173,7 +180,7 @@ def test_true_beta_oracle_ratios():
         assert oracle.anchor_index == 0
         np.testing.assert_allclose(oracle.beta, want, atol=5e-4)
         # agreement with an independent linear solve
-        means, cov = cfg.mvn_parameters()
+        means, cov = [i * DESIGN_DELTA for i in range(3)], DESIGN_COV[sid]
         delta = np.mean([means[1] - means[0], means[2] - means[1]], axis=0)
         x = np.linalg.solve(cov, delta)
         np.testing.assert_allclose(oracle.beta, x / x[0], atol=1e-12)
@@ -182,8 +189,8 @@ def test_true_beta_oracle_ratios():
 
 
 def test_study_anchor_convention():
-    assert study_anchor_index(ScenarioConfig(scenario_id=1, n=(5, 5, 5))) == 0
-    assert study_anchor_index(ScenarioConfig(scenario_id=4, n=(5, 5, 5))) == 2
+    assert ScenarioConfig(scenario_id=1, n=(5, 5, 5)).design.anchor == 0
+    assert ScenarioConfig(scenario_id=4, n=(5, 5, 5)).design.anchor == 2
 
 
 def test_population_hum_degenerate_and_guard():
@@ -208,7 +215,7 @@ def test_population_hum_reproducible_and_seed_sensitive():
 @pytest.mark.parametrize("sid", [1, 2, 3])
 def test_population_hum_matches_exact_gaussian_orthant(sid):
     cfg = ScenarioConfig(scenario_id=sid, n=(5, 5, 5))
-    means, cov = cfg.mvn_parameters()
+    means, cov = [i * DESIGN_DELTA for i in range(3)], DESIGN_COV[sid]
     for beta in (true_beta_oracle(cfg).beta, np.array([1.0, -0.5, 2.0])):
         p, se = population_hum(cfg, beta, mc_n=10**6, seed=0)
         exact = gaussian_hum_exact(means, cov, beta)
