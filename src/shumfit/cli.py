@@ -272,11 +272,10 @@ def _print_fit_table(data, entries):
 
 def cmd_simulate(args):
     try:
-        sizes = args.n.split(",")
-        if len(sizes) < 2 or not all(v.strip().isdecimal() and int(v) > 0 for v in sizes):
+        n = tuple(int(v) if v.strip().isdecimal() else 0 for v in args.n.split(","))
+        if len(n) < 2 or min(n) < 1:
             raise ShumFitError("--n expects comma-separated positive integers, at least two "
                                f"of them, got {args.n!r}")
-        n = tuple(int(v) for v in sizes)
         methods = _parse_methods(args.methods, METHOD_NAMES)
         cfg = ScenarioConfig(scenario_id=args.scenario, n=n,
                              replications=args.reps, master_seed=args.seed)
