@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_full_study.py",
      ["--scenarios", "1", "--sizes", "10", "--reps", "2", "--methods", "naive,parametric"],
      "scenario 1  n=(10, 10, 10)  R=2  seed=1"),
+    ("population_truth.py", ["--mc-n", "10000"], "scenario 1: oracle [1.  1.1 1.2]"),
     ("run_full_study.py", ["--scenarios", "4", "--sizes", "10", "--reps", "2"],
      "scenario 4  n=(10, 10, 10)  R=2  seed=1"),
-    ("population_truth.py", ["--mc-n", "10000"], "scenario 1: oracle [1.  1.1 1.2]"),
 ])
 def test_script_runs(tmp_path, script, args, line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
