@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shumfit.methods as methods
+import shumfit.smooth as smooth
+from shumfit import cli
 from shumfit import (
     FitConfig,
     MarkerDataset,
@@ -122,27 +124,73 @@ def test_smoothed_fit_polishes_its_best_start(method, seed):
     assert rep.coefficients.anchor_index == starts[int(np.argmax(values))][1]
 
 
-def test_smoothed_polish_takes_no_gradient_at_a_rejected_trial(monkeypatch):
+def test_smoothed_polish_makes_one_chain_pass_per_evaluation(monkeypatch):
+    # every BFGS evaluation, a rejected Armijo trial included, is one
+    # gradient pass that also gives the value; no separate value chain runs
     rng = np.random.default_rng(4)
     data = make_dataset(rng, m=3, sizes=(10, 10, 10), d=3, spread=1.0)
-    values, gradient_values = {}, []
-    value, gradient = methods.shum_value, methods.shum_gradient
+    passes, evaluations = [], []
+    gradient_full, bfgs = smooth.shum_gradient_full, methods.bfgs_maximize
 
-    def recorded_value(d, beta, spec):
-        values[tuple(beta)] = value(d, beta, spec)
-        return values[tuple(beta)]
+    def counted_pass(*args):
+        passes.append(args[1])
+        return gradient_full(*args)
 
-    def recorded_gradient(d, beta, spec, anchor):
-        gradient_values.append(values[tuple(beta)])   # only where a value was taken
-        return gradient(d, beta, spec, anchor)
+    def counted_bfgs(f, grad, theta0):
+        def counted_f(theta):
+            evaluations.append(theta)
+            return f(theta)
 
-    monkeypatch.setattr(methods, "shum_value", recorded_value)
-    monkeypatch.setattr(methods, "shum_gradient", recorded_gradient)
+        return bfgs(counted_f, grad, theta0)
+
+    def value_chain(*args):
+        raise AssertionError("a value chain apart from the gradient pass")
+
+    monkeypatch.setattr(smooth, "shum_gradient_full", counted_pass)
+    monkeypatch.setattr(smooth, "shum_from_scores", value_chain)
+    monkeypatch.setattr(methods, "shum_from_scores", value_chain)
+    monkeypatch.setattr(methods, "bfgs_maximize", counted_bfgs)
     spec = methods._smoothing(data, FitConfig(), methods.METHODS["sshum"].kernel)
-    polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0)
-    assert len(values) > len(gradient_values)      # some trial step was rejected
-    # gradients only at the start and at accepted steps, each an ascent
-    assert all(b > a for a, b in zip(gradient_values, gradient_values[1:]))
+    res = polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0)
+    assert len(evaluations) > res.iterations + 1     # some trial step was rejected
+    assert len(passes) == len(evaluations)
+
+
+def test_a_fitting_loop_runs_one_step_down_per_objective(monkeypatch, tmp_path):
+    rng = np.random.default_rng(3)
+    data = make_dataset(rng, m=3, sizes=(12, 10, 11), d=3, spread=1.0)
+    four = ("sshum", "nshum", "empirical", "frechet")
+    alone = {method: fit_method(data, method) for method in four}
+    calls = []
+    original = methods.step_down
+
+    def counted(objective, d):
+        calls.append(objective)
+        return original(objective, d)
+
+    monkeypatch.setattr(methods, "step_down", counted)
+    fitted = methods._fit_each(data, four, FitConfig())
+    assert len(calls) == 2
+    for method in four:
+        shared, own = fitted[method][0], alone[method]
+        assert shared.coefficients.beta.tolist() == own.coefficients.beta.tolist(), method
+        assert dataclasses.replace(shared, coefficients=None) == dataclasses.replace(
+            own, coefficients=None), method
+
+    csv = tmp_path / "data.csv"
+    rows = [f"{label}," + ",".join(repr(float(v)) for v in row)
+            for label, x in zip(data.category_labels, data.categories) for row in x]
+    csv.write_text("outcome,m1,m2,m3\n" + "\n".join(rows) + "\n")
+    calls.clear()
+    code = cli.main(["fit", "--data", str(csv), "--outcome", "outcome",
+                     "--markers", "m1,m2,m3", "--methods", ",".join(four),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) == 2
+
+    calls.clear()
+    fit_sshum(data)
+    assert len(calls) == 1
 
 
 def test_closed_form_matches_hand_solved_system():
