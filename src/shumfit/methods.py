@@ -121,16 +121,24 @@ def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
     objectives are piecewise constant and belong to the simplex polisher.
     BFGS evaluates the start first and only accepts ascent steps, so the
     result is never worse than the start.  It stops after at most
-    ``optimize.MAX_ITERATIONS`` iterations.
+    ``optimize.MAX_ITERATIONS`` iterations.  Each point BFGS evaluates,
+    a rejected trial included, costs one pass of ``shum_gradient``, whose
+    value BFGS reads and whose gradient is kept for BFGS to ask for at the
+    same point.
     """
     theta0 = np.delete(np.asarray(beta_init, dtype=float), anchor_index)
+    kept = {}
 
     def value(theta):
-        return shum_value(data, anchored_to_full(theta, anchor_index), spec)
+        beta = anchored_to_full(theta, anchor_index)
+        val, kept["gradient"] = shum_gradient(data, beta, spec, anchor_index)
+        kept["theta"] = np.array(theta)
+        return val
 
     def gradient(theta):
-        beta = anchored_to_full(theta, anchor_index)
-        return shum_gradient(data, beta, spec, anchor_index)
+        if not np.array_equal(theta, kept.get("theta")):
+            value(theta)
+        return kept["gradient"]
 
     return bfgs_maximize(value, gradient, theta0)
 

@@ -253,8 +253,9 @@ def shum_value(data: MarkerDataset, beta, spec: SmoothingSpec) -> float:
     return shum_from_scores(project_scores(data, beta), spec)
 
 
-def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.ndarray:
-    """Gradient of shum_value w.r.t. all d coefficients.
+def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec):
+    """``(value, gradient)``: shum_value and its gradient w.r.t. all d
+    coefficients, from one pass of the banded chain.
 
     For each adjacent level l with kernel matrix A_l and derivative matrix
     G_l, prefix vectors u (chain below) and suffix vectors w (chain above)
@@ -263,7 +264,9 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     as zero outside the band.  Column i of A_l is saturated at rows
     r >= searchsorted(high, i, "right"), the pairs the row edges saturate.
     The suffix pass evaluates each level's kernels block by block, so no
-    level's band is held whole.
+    level's band is held whole.  At the top level it also takes A u with
+    the operations of ``_chain_up`` and sums it as ``shum_from_scores``
+    does, so the value equals ``shum_value``'s bit for bit.
     """
     scores = project_scores(data, beta)
     m = len(scores)
@@ -279,8 +282,12 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
     w = np.ones(ordered[m - 1].size)
     for j in range(m - 2, -1, -1):
         prev, cur, u, band = ordered[j], ordered[j + 1], prefixes[j], bands[j]
+        top = j == m - 2                    # w is all ones: the chain's last level
         g_u = np.zeros(cur.size)
         gt_w = np.zeros(prev.size)
+        if top:
+            below = np.concatenate(([0.0], np.cumsum(u)))
+            chain = _HIGH * below[band.high]
         if j > 0:
             saturated_from = np.searchsorted(band.high, np.arange(prev.size), side="right")
             above = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))  # w[r:].sum()
@@ -288,28 +295,34 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec) -> np.nda
         for a, b in band.blocks():
             cols, diff, spare = _pairs(prev, cur, band, a, b, work)
             g = kernel_deriv(spec.kernel, diff, spec.lam)
-            if j > 0:
+            if top or j > 0:
                 k = kernel_eval(spec.kernel, diff, spec.lam)
             w_rows = diff                                         # diff is no longer needed
             w_rows[:] = np.repeat(w[a:b], band.width[a:b])
             u_cols = np.take(u, cols, out=spare, mode="clip")
+            if j > 0:
+                k *= w_rows
+                w_next += np.bincount(cols, k, prev.size)
+            if top:                                               # k * 1 is still A's entries
+                k *= u_cols
+                band.add_row_sums(a, b, k, chain)
+            if top or j > 0:
+                del k
             u_cols *= g
             band.add_row_sums(a, b, u_cols, g_u)
             g *= w_rows
             gt_w += np.bincount(cols, g, prev.size)
-            if j > 0:
-                k *= w_rows
-                w_next += np.bincount(cols, k, prev.size)
-                del k
             del g       # before the next block's kernels: see _workspace
         grad += ((w * g_u) @ data.categories[j + 1][order[j + 1]]
                  - (gt_w * u) @ data.categories[j][order[j]])
         if j > 0:
             w = w_next
     n_tuples = math.prod(len(s) for s in scores)
-    return grad / n_tuples
+    return float(chain.sum()) / n_tuples, grad / n_tuples
 
 
-def shum_gradient(data: MarkerDataset, beta, spec: SmoothingSpec, anchor_index: int) -> np.ndarray:
-    """Gradient w.r.t. the free coefficients (anchored coordinate removed)."""
-    return extract_theta(shum_gradient_full(data, beta, spec), anchor_index)
+def shum_gradient(data: MarkerDataset, beta, spec: SmoothingSpec, anchor_index: int):
+    """``(value, gradient)`` as :func:`shum_gradient_full`, the gradient
+    w.r.t. the free coefficients (anchored coordinate removed)."""
+    value, grad = shum_gradient_full(data, beta, spec)
+    return value, extract_theta(grad, anchor_index)

@@ -106,7 +106,7 @@ def test_02_gradient_accuracy():
                              tuple(range(m)))
         beta = rng.normal(size=d)
         spec = SmoothingSpec(kernel, lam)
-        grad = shum_gradient_full(data, beta, spec)
+        _, grad = shum_gradient_full(data, beta, spec)
         fd = central_difference(lambda b: shum_value(data, b, spec),
                                 beta, step=1e-5 * lam)
         err = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-8)

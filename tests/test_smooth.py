@@ -16,6 +16,7 @@ from shumfit import (
     kernel_deriv,
     kernel_eval,
     lambda_rule_check,
+    project_scores,
     shum_value,
     smooth,
 )
@@ -130,7 +131,7 @@ def test_gradient_matches_finite_differences(seed, kernel):
     spec = SmoothingSpec(kernel, 0.5)
     beta = rng.normal(size=3)
     fd = central_difference(lambda b: shum_value(data, b, spec), beta)
-    grad = shum_gradient_full(data, beta, spec)
+    _, grad = shum_gradient_full(data, beta, spec)
     np.testing.assert_allclose(grad, fd, rtol=5e-5, atol=1e-8)
 
 
@@ -139,10 +140,10 @@ def test_gradient_four_categories_and_anchoring():
     data = make_dataset(rng, m=4, sizes=(5, 6, 4, 5), d=2, spread=1.0)
     spec = SmoothingSpec(Kernel.NORMAL, 0.4)
     beta = np.array([0.8, 1.3])
-    full = shum_gradient_full(data, beta, spec)
+    _, full = shum_gradient_full(data, beta, spec)
     fd = central_difference(lambda b: shum_value(data, b, spec), beta)
     np.testing.assert_allclose(full, fd, rtol=1e-5, atol=1e-9)
-    anchored = shum_gradient(data, beta, spec, 1)
+    _, anchored = shum_gradient(data, beta, spec, 1)
     assert anchored.shape == (1,)
     assert anchored[0] == full[0]
 
@@ -155,7 +156,7 @@ def test_constant_marker_has_zero_gradient_component():
         x[:, 1] = 5.0
         cats.append(x)
     data = MarkerDataset(tuple(cats), ("a", "b"), ("0", "1", "2"))
-    grad = shum_gradient_full(
+    _, grad = shum_gradient_full(
         data, np.array([1.0, 0.2]), SmoothingSpec(Kernel.SIGMOID, 0.1)
     )
     assert grad[1] == pytest.approx(0.0, abs=1e-12)
@@ -206,7 +207,8 @@ def _assert_matches_dense(data, beta, spec):
     # each dropped pair removes under 1e-16 from the tuple products it enters
     assert value == pytest.approx(dense_shum(scores, spec.kernel, spec.lam),
                                   rel=1e-12, abs=1e-16)
-    grad = shum_gradient_full(data, beta, spec)
+    fused, grad = shum_gradient_full(data, beta, spec)
+    assert fused == value
     want = dense_shum_gradient(data.categories, beta, spec.kernel, spec.lam)
     # the dropped derivative entries, below 1e-16/lam, each enter two terms
     # of one level, weighted by a marker value
@@ -216,7 +218,7 @@ def _assert_matches_dense(data, beta, spec):
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
-@pytest.mark.parametrize("m,sizes", [(3, (9, 14, 6)), (4, (7, 12, 5, 10))])
+@pytest.mark.parametrize("m,sizes", [(3, (9, 14, 6)), (4, (7, 12, 5, 10)), (2, (9, 14))])
 def test_banded_chain_matches_dense_chain(kernel, m, sizes):
     rng = np.random.default_rng(21)
     data = make_dataset(rng, m=m, sizes=sizes, d=3, spread=1.0)
@@ -286,6 +288,23 @@ def test_banded_chain_in_small_blocks_matches_dense_chain(kernel, monkeypatch):
     monkeypatch.setattr(smooth, "_BLOCK", 7)
     for lam in (0.05, 100.0):
         _assert_matches_dense(data, np.array([1.0, -0.6]), SmoothingSpec(kernel, lam))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("block", [None, 7])
+def test_gradient_pass_value_equals_the_value_chain(kernel, m, block, monkeypatch):
+    # the value the gradient pass returns is shum_from_scores's, bit for bit
+    rng = np.random.default_rng(25)
+    data = make_dataset(rng, m=m, sizes=(30, 25, 40, 20), d=3, spread=0.5)
+    if block is not None:
+        monkeypatch.setattr(smooth, "_BLOCK", block)
+    for lam in (0.05, 0.3, 100.0):
+        spec = SmoothingSpec(kernel, lam)
+        for beta in (np.array([1.0, -0.6, 0.3]), rng.normal(size=3)):
+            value, _ = shum_gradient_full(data, beta, spec)
+            assert value == shum_from_scores(project_scores(data, beta), spec)
+            assert shum_gradient(data, beta, spec, 0)[0] == value
 
 
 @pytest.mark.parametrize("fn", [shum_value, shum_gradient_full])
