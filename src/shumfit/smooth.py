@@ -278,11 +278,13 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec):
     for j in range(m - 2):
         prefixes.append(_chain_up(prefixes[-1], ordered[j], ordered[j + 1], bands[j], work, spec))
 
+    sigmoid = spec.kernel is Kernel.SIGMOID
     grad = np.zeros(data.n_markers)
     w = np.ones(ordered[m - 1].size)
     for j in range(m - 2, -1, -1):
         prev, cur, u, band = ordered[j], ordered[j + 1], prefixes[j], bands[j]
         top = j == m - 2                    # w is all ones: the chain's last level
+        need_k = top or j > 0 or sigmoid
         g_u = np.zeros(cur.size)
         gt_w = np.zeros(prev.size)
         if top:
@@ -294,9 +296,14 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec):
             w_next = _HIGH * above[saturated_from]
         for a, b in band.blocks():
             cols, diff, spare = _pairs(prev, cur, band, a, b, work)
-            g = kernel_deriv(spec.kernel, diff, spec.lam)
-            if top or j > 0:
+            if need_k:
                 k = kernel_eval(spec.kernel, diff, spec.lam)
+            if sigmoid:                                           # k (1 - k) / lam
+                g = np.subtract(1.0, k)
+                g *= k
+                g /= spec.lam
+            else:
+                g = kernel_deriv(spec.kernel, diff, spec.lam)
             w_rows = diff                                         # diff is no longer needed
             w_rows[:] = np.repeat(w[a:b], band.width[a:b])
             u_cols = np.take(u, cols, out=spare, mode="clip")
@@ -306,7 +313,7 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec):
             if top:                                               # k * 1 is still A's entries
                 k *= u_cols
                 band.add_row_sums(a, b, k, chain)
-            if top or j > 0:
+            if need_k:
                 del k
             u_cols *= g
             band.add_row_sums(a, b, u_cols, g_u)
