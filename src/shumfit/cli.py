@@ -167,9 +167,10 @@ def cmd_fit(args):
 
     cfg = FitConfig(lam=lam)
     reports = {}
+    step_downs = {}             # one step-down per objective, shared by the methods
     for method in methods:
         try:
-            report = fit_method(data, method, cfg)
+            report = fit_method(data, method, cfg, step_downs)
         except (ShumFitError, np.linalg.LinAlgError) as exc:
             return _fail(f"fit failed for method {method}: {exc}", 3)
         reports[method] = report

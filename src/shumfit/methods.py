@@ -72,9 +72,14 @@ class FitReport:
 
 @dataclass(frozen=True)
 class Method:
-    """A fitter ``fit(data, cfg) -> FitReport`` and its method's properties."""
+    """A fitter ``fit(data, cfg) -> FitReport`` and its method's properties.
+
+    A method with a ``step_down_objective`` starts from step-down on it, and
+    its fitter takes a third argument, ``step_downs`` (see :func:`fit_sshum`).
+    """
 
     fit: Callable
+    step_down_objective: Optional[Callable] = None
     kernel: Optional[Kernel] = None     # a smoothed objective's kernel: BFGS polish
     ratio: bool = True                  # study summaries divide by the anchor coefficient
     features: Optional[tuple] = None    # derived features the coefficients act on
@@ -179,14 +184,21 @@ def _smoothed_start(data: MarkerDataset, spec: SmoothingSpec, sd):
 
 
 def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
-                           score_objective: Callable) -> FitReport:
-    """Step-down on ``score_objective``, then a polish of all coefficients.
+                           step_downs: Optional[dict]) -> FitReport:
+    """Step-down on the method's ``step_down_objective``, then a polish of
+    all coefficients.
 
-    A smoothed method is polished by BFGS on its smoothed objective from
-    :func:`_smoothed_start`; the others by Nelder-Mead on ``score_objective``
-    from the step-down beta.
+    The step-down comes from ``step_downs`` when it holds one for that
+    objective; otherwise it is run and added.  A smoothed method is polished
+    by BFGS on its smoothed objective from :func:`_smoothed_start`; the
+    others by Nelder-Mead on the step-down objective from the step-down beta.
     """
-    sd = step_down(score_objective, data)
+    score_objective = METHODS[method].step_down_objective
+    if step_downs is None:
+        step_downs = {}
+    if score_objective not in step_downs:
+        step_downs[score_objective] = step_down(score_objective, data)
+    sd = step_downs[score_objective]
     kernel = METHODS[method].kernel
     if kernel is not None:
         spec = _smoothing(data, cfg, kernel)
@@ -208,7 +220,8 @@ def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
 # the six methods
 # ---------------------------------------------------------------------------
 
-def fit_sshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+def fit_sshum(data: MarkerDataset, cfg: FitConfig = FitConfig(),
+              step_downs: Optional[dict] = None) -> FitReport:
     """Maximize the sigmoid-smoothed HUM.
 
     Step-down on the exact empirical HUM, then BFGS on the smoothed
@@ -217,31 +230,41 @@ def fit_sshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     solution, at least that of every single marker.  Step-down's grid scans
     take hundreds of evaluations, each far cheaper on the exact HUM than on
     the smoothed one.
+
+    ``step_downs`` maps a step-down objective to its ``StepDownResult`` on
+    ``data``.  A loop that fits several methods on one dataset passes one
+    dict to each, so nshum and empirical reuse this fit's step-down, or it
+    reuses theirs.  Called alone, the fit runs its own.
     """
-    return _step_down_then_polish(data, cfg, "sshum", _ehum_objective)
+    return _step_down_then_polish(data, cfg, "sshum", step_downs)
 
 
-def fit_nshum(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+def fit_nshum(data: MarkerDataset, cfg: FitConfig = FitConfig(),
+              step_downs: Optional[dict] = None) -> FitReport:
     """Maximize the normal-CDF-smoothed HUM, by the search of :func:`fit_sshum`."""
-    return _step_down_then_polish(data, cfg, "nshum", _ehum_objective)
+    return _step_down_then_polish(data, cfg, "nshum", step_downs)
 
 
-def fit_empirical(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+def fit_empirical(data: MarkerDataset, cfg: FitConfig = FitConfig(),
+                  step_downs: Optional[dict] = None) -> FitReport:
     """Direct maximization of the exact empirical HUM.
 
     Step-down with the 1-D bracketed search per stage, then a Nelder-Mead
     polish over all free coefficients (the objective is piecewise constant,
-    so improvement over the start is a weak inequality).
+    so improvement over the start is a weak inequality).  ``step_downs`` as
+    in :func:`fit_sshum`.
     """
-    return _step_down_then_polish(data, cfg, "empirical", _ehum_objective)
+    return _step_down_then_polish(data, cfg, "empirical", step_downs)
 
 
-def fit_frechet(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
+def fit_frechet(data: MarkerDataset, cfg: FitConfig = FitConfig(),
+                step_downs: Optional[dict] = None) -> FitReport:
     """Maximize the HUM's upper envelope, the minimum adjacent AUC.
 
     The report's ehum_at_solution is the exact empirical HUM at the solution.
+    ``step_downs`` as in :func:`fit_sshum`.
     """
-    return _step_down_then_polish(data, cfg, "frechet", min_adjacent_auc)
+    return _step_down_then_polish(data, cfg, "frechet", step_downs)
 
 
 def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -390,22 +413,30 @@ def _central_fd(f, theta, step=1e-6) -> np.ndarray:
 # Order matters: METHOD_NAMES is the default ``fit --methods``, which enters
 # the manifest hash.
 METHODS = {
-    "sshum": Method(fit_sshum, kernel=Kernel.SIGMOID),
-    "nshum": Method(fit_nshum, kernel=Kernel.NORMAL),
-    "empirical": Method(fit_empirical),
+    "sshum": Method(fit_sshum, _ehum_objective, kernel=Kernel.SIGMOID),
+    "nshum": Method(fit_nshum, _ehum_objective, kernel=Kernel.NORMAL),
+    "empirical": Method(fit_empirical, _ehum_objective),
     "parametric": Method(fit_parametric_normal),
     "minmax": Method(fit_minmax, ratio=False, features=("max", "min")),
-    "frechet": Method(fit_frechet),
+    "frechet": Method(fit_frechet, min_adjacent_auc),
     "naive": Method(fit_naive, ratio=False),
 }
 METHOD_NAMES = tuple(METHODS)
 
 
-def fit_method(data: MarkerDataset, method: str, cfg: FitConfig = FitConfig()) -> FitReport:
-    """Dispatch a fit by method name (see METHODS)."""
+def fit_method(data: MarkerDataset, method: str, cfg: FitConfig = FitConfig(),
+               step_downs: Optional[dict] = None) -> FitReport:
+    """Dispatch a fit by method name (see METHODS).
+
+    ``step_downs`` goes to a method that starts from step-down: the dict a
+    loop over methods on one dataset shares (see :func:`fit_sshum`).
+    """
     if method not in METHODS:
         raise InvalidParameter(f"unknown method {method!r}")
-    return METHODS[method].fit(data, cfg)
+    entry = METHODS[method]
+    if entry.step_down_objective is None:
+        return entry.fit(data, cfg)
+    return entry.fit(data, cfg, step_downs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +468,17 @@ def _resample(data: MarkerDataset, rng) -> MarkerDataset:
 
 
 def _fit_each(data: MarkerDataset, methods, cfg: FitConfig) -> dict:
-    """Fit each method on ``data``: {method: (FitReport, seconds)}, None if it raised."""
+    """Fit each method on ``data``: {method: (FitReport, seconds)}, None if it raised.
+
+    The methods share one step-down per objective, timed with the first
+    method that runs it.
+    """
     out = {}
+    step_downs = {}
     for method in methods:
         t0 = time.perf_counter()
         try:
-            out[method] = (fit_method(data, method, cfg), time.perf_counter() - t0)
+            out[method] = (fit_method(data, method, cfg, step_downs), time.perf_counter() - t0)
         except (ShumFitError, np.linalg.LinAlgError):
             out[method] = None
     return out

@@ -368,9 +368,9 @@ def test_bootstrap_reuses_a_given_point_fit(monkeypatch):
     fitted = []
     original = methods.fit_method
 
-    def counting(d, method, cfg=FitConfig()):
+    def counting(d, method, *args):
         fitted.append(d is data)
-        return original(d, method, cfg)
+        return original(d, method, *args)
 
     monkeypatch.setattr(methods, "fit_method", counting)
     bootstrap_se(data, {"minmax": point}, B=6, seed=99)
