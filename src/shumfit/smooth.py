@@ -4,7 +4,10 @@ The empirical HUM's indicator kernel is replaced by a scaled sigmoid or
 standard-normal CDF with bandwidth ``lam``; the smoothed objective factorizes
 over adjacent category pairs, so a chain of kernel-matrix products
 evaluates it without enumerating tuples.  The gradient reuses the same chain
-via prefix/suffix partial products.
+via prefix/suffix partial products, and its pass returns the value as well:
+an optimizer that needs both at a point runs the chain once.  For the
+sigmoid that pass takes the derivative from the kernel values it already
+holds, k(1 - k)/lam, in place of two more expit passes.
 
 The chain never forms a kernel matrix.  Each call sorts every category's
 scores, so at each level the pairs (prev, cur) fall into three runs per cur
@@ -266,7 +269,9 @@ def shum_gradient_full(data: MarkerDataset, beta, spec: SmoothingSpec):
     The suffix pass evaluates each level's kernels block by block, so no
     level's band is held whole.  At the top level it also takes A u with
     the operations of ``_chain_up`` and sums it as ``shum_from_scores``
-    does, so the value equals ``shum_value``'s bit for bit.
+    does, so the value equals ``shum_value``'s bit for bit.  The sigmoid's
+    G_l is k (1 - k) / lam of the block's kernel values k; the normal
+    kernel's comes from ``kernel_deriv``.
     """
     scores = project_scores(data, beta)
     m = len(scores)
