@@ -173,8 +173,8 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
     and counted in ``n_dropped``.  Outcome labels are rank-mapped ascending;
     one that is not a finite number raises :class:`UnparseableNumeric` with
     the row index (1-based, excluding the header).  A repeated marker, a
-    marker that is the outcome, or a file that is not UTF-8 CSV raises
-    :class:`ShumFitError`.
+    marker that is the outcome, a requested column that the header names more
+    than once, or a file that is not UTF-8 CSV raises :class:`ShumFitError`.
     """
     names = [outcome_column, *marker_columns]
     if len(set(names)) < len(names):
@@ -187,6 +187,9 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
             for name in names:
                 if name not in header:
                     raise MissingColumn(name)
+                if header.count(name) > 1:
+                    raise ShumFitError(f"the header names column {name!r} "
+                                       f"{header.count(name)} times")
             columns = [header.index(name) for name in names]
 
             groups: dict = {}

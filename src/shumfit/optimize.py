@@ -4,10 +4,12 @@ and the greedy step-down composition over markers.
 All routines maximize.  BFGS is for smooth objectives with analytic
 gradients; Nelder-Mead handles the piecewise-constant empirical objectives;
 the 1-D search runs a dense grid pre-scan (multi-modal slices are common for
-empirical HUM) before local refinement.  Step-down is the greedy search the
-fitters start from; the smoothed fits run it on the exact empirical HUM and
-leave the smoothed objective to BFGS.  Everything is deterministic:
-identical inputs and settings give bit-identical results.
+empirical HUM) before a bounded Brent refinement, transcribed here from
+scipy's ``fminbound`` with the same iterates bit for bit, so the module needs
+numpy alone.  Step-down is the greedy search the fitters start from; the
+smoothed fits run it on the exact empirical HUM and leave the smoothed
+objective to BFGS.  Everything is deterministic: identical inputs and
+settings give bit-identical results.
 
 Every setting is a module constant, read when a routine is called:
 MAX_ITERATIONS (BFGS and each Nelder-Mead run); GRAD_TOL, REL_OBJ_TOL,
@@ -19,10 +21,10 @@ grid pre-scan).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NonFiniteObjective
 
@@ -242,13 +244,105 @@ def nelder_mead_maximize(f: Callable, theta0) -> OptimResult:
 # 1-D bracketed search
 # ---------------------------------------------------------------------------
 
+_SQRT_EPS = sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - sqrt(5.0))
+_BRENT_XATOL = 1e-8
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(func: Callable, a, b):
+    """Minimize ``func`` on [a, b] by Brent's bounded golden-section and
+    parabolic search; returns ``(x, fx, nfev, ok)``.
+
+    A transcription of scipy's ``fminbound`` (``minimize_scalar`` with
+    ``method="bounded"``, scipy 1.17.1, BSD licence), itself after Brent
+    (1973), *Algorithms for Minimization without Derivatives*, ch. 5.  It
+    keeps scipy's constants, numpy arithmetic and branches, so its iterates,
+    ``nfev`` and result equal ``minimize_scalar(func, bounds=(a, b),
+    method="bounded", options={"xatol": 1e-8, "maxiter": 500})`` bit for
+    bit.  ``ok`` is False after 500 evaluations or when a NaN was seen.
+    """
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:              # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            return xf, fx, num, False
+
+    ok = not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
+    return xf, fx, num, ok
+
+
 def brent_maximize_1d(f: Callable) -> OptimResult:
-    """Grid pre-scan over [-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH], then
-    golden-section/parabolic refinement.
+    """Grid pre-scan over [-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH], then Brent's
+    bounded golden-section/parabolic refinement (:func:`_bounded_brent`)
+    between the grid neighbours of the best grid point.
 
     Returns the better of the refined point and the grid incumbent, so a
     rough refinement can never lose to the scan.  Non-finite grid values are
     excluded; if every value is non-finite the objective is rejected.
+    ``iterations`` counts the refinement's evaluations plus the grid's.
     """
     grid = np.linspace(-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH, GRID_POINTS)
     grid[GRID_POINTS // 2] = 0.0       # odd GRID_POINTS: exact 0 keeps step-down monotone
@@ -261,14 +355,11 @@ def brent_maximize_1d(f: Callable) -> OptimResult:
 
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda x: -f(x), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-8, "maxiter": 500},
-    )
+    x, neg_value, nfev, ok = _bounded_brent(lambda x: -f(x), lo, hi)
     x_best, v_best = float(grid[i]), float(vals[i])
-    if res.success and np.isfinite(res.fun) and -res.fun > v_best:
-        x_best, v_best = float(res.x), float(-res.fun)
-    return OptimResult(np.array([x_best]), v_best, int(res.nfev) + grid.size, True)
+    if ok and np.isfinite(neg_value) and -neg_value > v_best:
+        x_best, v_best = float(x), float(-neg_value)
+    return OptimResult(np.array([x_best]), v_best, nfev + grid.size, True)
 
 
 # ---------------------------------------------------------------------------

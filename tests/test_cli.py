@@ -2,7 +2,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,6 +105,17 @@ def test_fit_missing_column_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_hum_column_named_twice_in_the_header_exits_2(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("stage,m1,m2,m1\n0,1,5,3\n1,2,4,2\n2,3,3,1\n")
+    code = cli.main([
+        "hum", "--data", str(csv), "--outcome", "stage", "--markers", "m1",
+        "--weights", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "'m1' 2 times" in capsys.readouterr().err
 
 
 def test_fit_unknown_method_exits_2(tmp_path):
@@ -272,6 +286,29 @@ def test_hum_command_output(tmp_path, capsys):
     report = json.loads(read(out / "hum.json"))
     assert set(report["individual_ehum"]) == {"m1", "m2"}
     assert 0.0 <= report["combined_ehum"] <= 1.0
+
+
+_FRESH_RUN = """
+import sys
+from shumfit import cli
+csv, out = sys.argv[1:]
+common = ["--data", csv, "--outcome", "outcome", "--markers", "m1,m2"]
+codes = [cli.main(["hum", *common, "--weights", "1,0.5", "--out", out + "/hum"]),
+         cli.main(["fit", *common, "--methods", "empirical", "--out", out + "/fit"])]
+print(codes, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_cli_runs_without_loading_scipy_optimize(tmp_path):
+    # the pytest process has scipy.optimize loaded already (tests use it as an
+    # oracle), so only a fresh interpreter shows what the CLI itself imports
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(csv), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_hum_naive_weights_four_markers(tmp_path, capsys):

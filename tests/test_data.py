@@ -122,6 +122,18 @@ def test_load_csv_rejects_repeated_or_outcome_markers(tmp_path, markers):
         load_csv(path, "y", markers)
 
 
+@pytest.mark.parametrize("header", ["y,a,b,a", "y,a,y,b"])
+def test_load_csv_rejects_a_requested_column_named_twice(tmp_path, header):
+    path = write_csv(tmp_path / "t.csv", header + "\n0,1,2,3\n1,3,4,0\n")
+    with pytest.raises(ShumFitError, match="2 times"):
+        load_csv(path, "y", ["a", "b"])
+
+
+def test_load_csv_ignores_a_repeated_column_it_does_not_read(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "y,a,note,note\n0,1,x,x\n1,3,x,x\n")
+    assert load_csv(path, "y", ["a"]).sizes == (1, 1)
+
+
 def test_load_csv_non_utf8_file_raises_package_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("y,a,note\n0,1,café\n1,2,x\n".encode("latin-1"))

@@ -14,6 +14,8 @@ from shumfit import (
     step_down,
 )
 from shumfit.errors import NonFiniteObjective
+import shumfit.optimize as optimize
+from shumfit.optimize import BRENT_HALF_WIDTH, GRID_POINTS, _bounded_brent
 
 from oracles import make_dataset
 
@@ -162,6 +164,80 @@ def test_brent_all_nonfinite_rejected():
 def test_brent_partial_nonfinite_ok():
     res = brent_maximize_1d(lambda x: -((x - 2) ** 2) if x > -5 else float("nan"))
     assert res.argmax[0] == pytest.approx(2.0, abs=1e-6)
+
+
+def _grid_bracket(i):
+    # the bracket brent_maximize_1d refines around grid point i
+    grid = np.linspace(-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH, GRID_POINTS)
+    grid[GRID_POINTS // 2] = 0.0
+    return grid[max(i - 1, 0)], grid[min(i + 1, GRID_POINTS - 1)]
+
+
+def _tied_ehum_slice(rng):
+    # integer markers, so the combined scores tie at many coefficients
+    v, c = ([rng.integers(0, 4, size=12) + j * s for j in range(3)] for s in (1, 0))
+    return lambda x: ehum_fast([a + x * b for a, b in zip(v, c)]).value
+
+
+def _multimodal(rng):
+    k, phase, amp = rng.uniform(0.5, 8.0, 3), rng.uniform(0.0, 6.0, 3), rng.uniform(0.1, 1.0, 3)
+    return lambda x: float(np.sum(amp * np.sin(k * x + phase)) - 0.01 * x * x)
+
+
+def _step(rng):
+    cuts, levels = np.sort(rng.uniform(-10.0, 10.0, 7)), rng.integers(0, 4, 8) / 3.0
+    return lambda x: float(levels[np.searchsorted(cuts, x)])
+
+
+def _nan_beyond(rng):
+    cut, peak = rng.uniform(-10.0, 10.0, 2)
+    return lambda x: float("nan") if x > cut else -((x - peak) ** 2)
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)       # NaN matches NaN
+
+
+@pytest.mark.parametrize("make", [_tied_ehum_slice, _multimodal, _step, _nan_beyond])
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("where", ["interior", "low edge", "high edge"])
+def test_bounded_brent_equals_scipy_fminbound(make, seed, where):
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    i = {"interior": int(rng.integers(1, GRID_POINTS - 1)), "low edge": 0,
+         "high edge": GRID_POINTS - 1}[where]
+    lo, hi = _grid_bracket(i)
+    ref = minimize_scalar(lambda x: -g(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-8, "maxiter": 500})
+    x, fx, nfev, ok = _bounded_brent(lambda x: -g(x), lo, hi)
+    assert _same(x, ref.x) and _same(fx, ref.fun)
+    assert (nfev, ok) == (ref.nfev, ref.success)
+
+
+@pytest.mark.parametrize("cap", [2, 5, 9])
+def test_bounded_brent_stops_at_the_evaluation_cap(monkeypatch, cap):
+    # brackets of the grid's width stop far below 500 evaluations, so a
+    # lowered cap exercises the stop
+    from scipy.optimize import minimize_scalar
+
+    monkeypatch.setattr(optimize, "_BRENT_MAXFUN", cap)
+    g = _multimodal(np.random.default_rng(3))
+    ref = minimize_scalar(lambda x: -g(x), bounds=(-1.0, 4.0), method="bounded",
+                          options={"xatol": 1e-8, "maxiter": cap})
+    result = _bounded_brent(lambda x: -g(x), -1.0, 4.0)
+    assert result == (ref.x, ref.fun, ref.nfev, ref.success) == (ref.x, ref.fun, cap, False)
+
+
+def test_brent_iterations_count_grid_and_refinement_calls():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -((x - 1.3) ** 2)
+
+    assert brent_maximize_1d(f).iterations == len(calls)
 
 
 def _ehum_objective(scores):
