@@ -185,11 +185,11 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
             reader = csv.reader(fh)
             header = [h.strip() for h in next(reader, [])]
             for name in names:
-                if name not in header:
+                copies = header.count(name)
+                if copies == 0:
                     raise MissingColumn(name)
-                if header.count(name) > 1:
-                    raise ShumFitError(f"the header names column {name!r} "
-                                       f"{header.count(name)} times")
+                if copies > 1:
+                    raise ShumFitError(f"the header names column {name!r} {copies} times")
             columns = [header.index(name) for name in names]
 
             groups: dict = {}
