@@ -1,9 +1,10 @@
-"""The six combination fitters and the stratified bootstrap.
+"""The combination fitters and the stratified bootstrap.
 
-Every fitter returns a :class:`FitReport` whose ``ehum_at_solution`` is the
-exact empirical HUM re-evaluated at the reported coefficients — that is the
-number the study tables compare, regardless of which surrogate objective a
-method optimized.
+Every fitter returns a :class:`FitReport` built by :func:`_report`, the one
+place where a fit is scored: ``ehum_at_solution`` is the exact empirical HUM
+of the reported combination's per-category scores.  That is the number the
+study tables compare, regardless of which surrogate objective a method
+optimized.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ def _ehum_objective(scores) -> float:
     return ehum_fast(scores).value
 
 
-def _ehum_at(data: MarkerDataset, beta) -> float:
-    return ehum_fast(project_scores(data, beta)).value
-
-
 def unit_norm_aligned(beta, reference=None) -> np.ndarray:
     """Scale to unit Euclidean norm, sign-aligned to ``reference``.
 
@@ -148,15 +145,18 @@ def polish_bfgs(data: MarkerDataset, spec: SmoothingSpec, beta_init,
     return bfgs_maximize(value, gradient, theta0)
 
 
-def _report(data, method, beta, anchor, objective_value=None, iterations=0,
+def _report(method, scores, beta, anchor, objective_value=None, iterations=0,
             converged=True) -> FitReport:
-    """The report of the linear combination ``beta``, anchored at ``anchor``.
+    """The report of the combination ``beta``, anchored at ``anchor``.
 
-    ``ehum_at_solution`` is the exact empirical HUM at ``beta``;
+    ``scores`` are the combination's per-category scores: ``project_scores``
+    of ``beta`` for a linear method, ``max + coef * min`` for minmax.
+    ``ehum_at_solution`` is their exact empirical HUM, and every fitter
+    reports through here, so no other code scores a fit.
     ``objective_value=None`` means the method's objective is that HUM.  The
     defaults describe a report that took no iterations.
     """
-    ehum = _ehum_at(data, beta)
+    ehum = ehum_fast(scores).value
     return FitReport(
         method=method,
         coefficients=Coefficients(beta, anchor),
@@ -212,8 +212,8 @@ def _step_down_then_polish(data: MarkerDataset, cfg: FitConfig, method: str,
 
         res = nelder_mead_maximize(f, np.delete(sd.beta, anchor))
     beta = anchored_to_full(res.argmax, anchor)
-    return _report(data, method, beta, anchor, res.value, res.iterations,
-                   res.converged)
+    return _report(method, project_scores(data, beta), beta, anchor, res.value,
+                   res.iterations, res.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +274,13 @@ def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     maxima = [x.max(axis=1) for x in data.categories]
     minima = [x.min(axis=1) for x in data.categories]
 
-    def f(coef):
-        return ehum_fast([hi + coef * lo for hi, lo in zip(maxima, minima)]).value
+    def scores(coef):
+        return [hi + coef * lo for hi, lo in zip(maxima, minima)]
 
-    res = brent_maximize_1d(f)
+    res = brent_maximize_1d(lambda coef: ehum_fast(scores(coef)).value)
     coef = float(res.argmax[0])
-    return FitReport(
-        method="minmax",
-        coefficients=Coefficients(np.array([1.0, coef]), 0),
-        ehum_at_solution=float(res.value),
-        objective_at_solution=float(res.value),
-        iterations=res.iterations,
-        converged=res.converged,
-    )
+    return _report("minmax", scores(coef), np.array([1.0, coef]), 0,
+                   iterations=res.iterations, converged=res.converged)
 
 
 def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -315,7 +309,7 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> 
     if anchor is not None:
         beta_cf = beta_cf / beta_cf[anchor]
     if not integral or anchor is None:
-        return _report(data, "parametric", beta_cf, anchor)
+        return _report("parametric", project_scores(data, beta_cf), beta_cf, anchor)
 
     mus, covs = _category_moments(data)
 
@@ -325,14 +319,14 @@ def fit_parametric_normal(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> 
     res = bfgs_maximize(d_n, lambda theta: _central_fd(d_n, theta),
                         np.delete(beta_cf, anchor))
     beta = anchored_to_full(res.argmax, anchor)
-    return _report(data, "parametric", beta, anchor, res.value,
+    return _report("parametric", project_scores(data, beta), beta, anchor, res.value,
                    res.iterations, res.converged)
 
 
 def fit_naive(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     """Equal weights at unit Euclidean norm; no optimization."""
-    d = data.n_markers
-    return _report(data, "naive", np.full(d, 1.0 / np.sqrt(d)), None)
+    beta = np.full(data.n_markers, 1.0 / np.sqrt(data.n_markers))
+    return _report("naive", project_scores(data, beta), beta, None)
 
 
 # ---------------------------------------------------------------------------

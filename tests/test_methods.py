@@ -79,9 +79,25 @@ def test_report_ehum_matches_independent_reevaluation():
             scores = [x.max(axis=1) + coef * x.min(axis=1) for x in data.categories]
         else:
             scores = project_scores(data, rep.coefficients.beta)
-        assert rep.ehum_at_solution == pytest.approx(
-            ehum_fast(scores).value, abs=1e-12
-        ), method
+        assert rep.ehum_at_solution == ehum_fast(scores).value, method
+
+
+def test_every_method_reports_through_report_exactly_once(monkeypatch):
+    rng = np.random.default_rng(2)
+    data = make_dataset(rng, m=3, sizes=(12, 11, 13), d=3, spread=1.0)
+    made = []
+    report = methods._report
+
+    def recording(*args, **kwargs):
+        made.append(report(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(methods, "_report", recording)
+    for method in METHOD_NAMES:
+        made.clear()
+        rep = fit_method(data, method)
+        assert len(made) == 1, method
+        assert made[0] is rep, method
 
 
 def test_positive_rescaling_leaves_ehum_unchanged():
