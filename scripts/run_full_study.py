@@ -2,8 +2,9 @@
 """Full replication study across scenarios and sample sizes.
 
 Prints one mean-EHUM block per (scenario, n) cell plus the anchored
-coefficient summaries (mean, bias, SD) for the methods where the ratio
-convention applies.  Serial by default; pass --workers to fan out.
+coefficient summaries (mean, SD) for the methods where the ratio
+convention applies, with the count of fits that had no ratio.  Serial by
+default; pass --workers to fan out.
 
 Example:
     python3 scripts/run_full_study.py --scenarios 1,4 --sizes 60,90,120 --reps 200
@@ -40,17 +41,18 @@ def print_block(cfg, summary, methods):
         s = by[m]
         print(f"{m:<12}{s.mean_ehum:>12.4f}{s.sd_ehum:>10.4f}{s.n_failures:>10d}")
 
-    ratio_methods = [m for m in methods if METHODS[m].ratio]
+    ratios = {m: by[m] for m in methods if METHODS[m].ratio}
     if cfg.design.oracle is not None:
         print("oracle ratios:", np.round(cfg.design.oracle, 4))
-    print(f"{'method':<12}" + "".join(
-        f"{f'c{j + 1} mean(sd)':>20}" for j in range(by[methods[0]].coef_mean.size)))
-    for m in ratio_methods:
-        s = by[m]
-        cells = "".join(
-            f"{s.coef_mean[j]:>12.3f} ({s.coef_sd[j]:.3f})"
-            for j in range(s.coef_mean.size))
-        print(f"{m:<12}" + cells)
+    d = next((s.coef_mean.size for s in ratios.values() if s.coef_mean is not None), 0)
+    print(f"{'method':<12}" + "".join(f"{f'c{j + 1} mean(sd)':>20}" for j in range(d))
+          + f"{'no ratio':>10}")
+    for m, s in ratios.items():
+        if s.coef_mean is None:
+            cells = f"{'-':>20}" * d
+        else:
+            cells = "".join(f"{s.coef_mean[j]:>12.3f} ({s.coef_sd[j]:.3f})" for j in range(d))
+        print(f"{m:<12}{cells}{s.n_ratio_undefined:>10d}")
 
 
 def main():

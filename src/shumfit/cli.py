@@ -309,9 +309,10 @@ def cmd_simulate(args):
             "coef_bias": ms.coef_bias,
             "n_failures": ms.n_failures,
             "n_not_converged": ms.n_not_converged,
+            "n_ratio_undefined": ms.n_ratio_undefined,
         }
         ehum_rows.append([ms.method, ms.mean_ehum, ms.sd_ehum, ms.n_failures])
-        for j in range(ms.coef_mean.size):
+        for j in range(0 if ms.coef_mean is None else ms.coef_mean.size):
             coef_rows.append([
                 ms.method, f"c{j + 1}", float(ms.coef_mean[j]),
                 float(ms.coef_bias[j]) if ms.coef_bias is not None else "",

@@ -165,7 +165,8 @@ def finite_number(token: str) -> Optional[float]:
 
 
 def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> MarkerDataset:
-    """Read a comma-separated UTF-8 file into a :class:`MarkerDataset`.
+    """Read a comma-separated UTF-8 file, with or without a byte-order mark,
+    into a :class:`MarkerDataset`.
 
     The header row is mandatory and every cell is read by :func:`finite_number`.
     Rows with a marker cell that is not a finite number (blank, ``NA``, text,
@@ -181,7 +182,7 @@ def load_csv(path, outcome_column: str, marker_columns: Sequence[str]) -> Marker
         raise ShumFitError(f"markers must be distinct columns other than the outcome "
                            f"{outcome_column!r}, got {names[1:]}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [h.strip() for h in next(reader, [])]
             for name in names:

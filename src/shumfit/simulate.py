@@ -196,11 +196,12 @@ class MethodSummary:
     method: str
     mean_ehum: float
     sd_ehum: float
-    coef_mean: np.ndarray
-    coef_sd: np.ndarray
+    coef_mean: Optional[np.ndarray]     # None when no replicate has a defined ratio
+    coef_sd: Optional[np.ndarray]
     coef_bias: Optional[np.ndarray]
     n_failures: int
     n_not_converged: int = 0            # fits whose polisher did not converge
+    n_ratio_undefined: int = 0          # fits left out of the ratio summaries
     wall_clock: float = field(compare=False, default=0.0)
 
 
@@ -219,14 +220,6 @@ def _replicate_worker(args):
     return _fit_each(generate_scenario(cfg, r), methods, fit_cfg)
 
 
-def _anchored_ratio(beta: np.ndarray, anchor: int) -> np.ndarray:
-    # the ratio convention: divide by the signed anchor coefficient
-    denom = beta[anchor]
-    if denom == 0.0:
-        return np.full_like(beta, np.nan)
-    return beta / denom
-
-
 def run_study(cfg: ScenarioConfig, methods: Sequence[str],
               fit_cfg: FitConfig = FitConfig(), workers: int = 1) -> StudySummary:
     """Fit every method on R independent replicates and aggregate.
@@ -235,8 +228,11 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     summaries of the methods whose ``METHODS`` entry has ``ratio`` are
     converted to the common anchored-ratio convention (the design's
     ``anchor``) so bias columns are comparable to its oracle; the others
-    are averaged as fitted and get no bias.  Fits whose polisher stopped
-    without converging still count, and are reported per method as
+    are averaged as fitted and get no bias.  A fit whose anchor coefficient
+    is exactly 0 has no ratio: the ratio summaries leave it out and count it
+    as ``n_ratio_undefined``, and are None when no fit has a ratio.  SDs over
+    fewer than two values are 0.  Fits whose polisher stopped without
+    converging still count, and are reported per method as
     ``n_not_converged``.  The R replicates run on up to ``workers``
     processes (serial by default) and are aggregated in replicate order, so
     the worker count cannot change results.  More than 5% failed (replicate,
@@ -261,21 +257,26 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             raise StudyAborted(failures, cfg.replications)
 
         ehums = np.asarray([report.ehum_at_solution for report, _ in fits])
-        coefs = [report.coefficients.beta for report, _ in fits]
+        coefs = np.asarray([report.coefficients.beta for report, _ in fits])
         ratio = METHODS[method].ratio
+        n_undefined = 0
         if ratio:
-            conv = np.asarray([_anchored_ratio(b, anchor) for b in coefs])
-        else:
-            conv = np.asarray(coefs)
-        coef_mean = conv.mean(axis=0)
+            # the ratio convention: divide by the signed anchor coefficient
+            defined = coefs[:, anchor] != 0.0
+            n_undefined = int(np.count_nonzero(~defined))
+            coefs = coefs[defined] / coefs[defined][:, anchor, None]
+        coef_mean = coef_sd = bias = None
+        if len(coefs):
+            coef_mean = coefs.mean(axis=0)
+            coef_sd = (np.std(coefs, axis=0, ddof=1) if len(coefs) > 1
+                       else np.zeros_like(coef_mean))
+            if truth is not None and ratio:
+                bias = coef_mean - truth
         if len(ehums) > 1:
             sd_ehum = float(np.std(ehums, ddof=1))
-            coef_sd = np.std(conv, axis=0, ddof=1)
         else:
             sd_ehum = 0.0
-            coef_sd = np.zeros_like(coef_mean)
             warnings.warn("single-replicate study: SDs reported as 0")
-        bias = coef_mean - truth if truth is not None and ratio else None
         summaries.append(MethodSummary(
             method=method,
             mean_ehum=float(ehums.mean()),
@@ -285,6 +286,7 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             coef_bias=bias,
             n_failures=failures,
             n_not_converged=sum(not report.converged for report, _ in fits),
+            n_ratio_undefined=n_undefined,
             wall_clock=sum(seconds for _, seconds in fits),
         ))
 

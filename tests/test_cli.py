@@ -288,6 +288,56 @@ def test_hum_command_output(tmp_path, capsys):
     assert 0.0 <= report["combined_ehum"] <= 1.0
 
 
+def test_a_byte_order_mark_does_not_change_the_output(tmp_path, capsys):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    write_dataset(plain / "data.csv")
+    (marked / "data.csv").write_bytes(b"\xef\xbb\xbf" + read(plain / "data.csv"))
+    stdout = []
+    for where in (plain, marked):
+        assert cli.main([
+            "hum", "--data", str(where / "data.csv"), "--outcome", "outcome",
+            "--markers", "m1,m2", "--weights", "1.0,0.5", "--out", str(where / "out"),
+        ]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    for name in ("hum.json", "manifest.json"):
+        assert read(plain / "out" / name) == read(marked / "out" / name), name
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_output_is_strict_json(tmp_path, capsys, monkeypatch):
+    # the simulate run has a frechet and an empirical fit whose anchor
+    # coefficient is exactly 0, so neither has a ratio in that replicate
+    csv = tmp_path / "data.csv"
+    write_dataset(csv)
+    monkeypatch.setenv("SHUMFIT_WORKERS", "1")
+    data = ["--data", str(csv), "--outcome", "outcome", "--markers", "m1,m2"]
+    runs = {"fit": ["fit", *data, "--bootstrap", "3", "--seed", "1"],
+            "simulate": ["simulate", "--scenario", "1", "--n", "10,10,10", "--reps", "5",
+                         "--seed", "1", "--methods", "empirical,frechet,sshum"],
+            "hum": ["hum", *data, "--weights", "1.0,0.5"]}
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert cli.main(args + ["--out", str(out)]) == 0
+        for path in sorted(out.glob("*.json")):
+            _strict_json(read(path).decode())
+    capsys.readouterr()
+
+    summary = _strict_json(read(tmp_path / "simulate" / "study_summary.json").decode())
+    undefined = {m: s["n_ratio_undefined"] for m, s in summary["methods"].items()}
+    assert undefined == {"empirical": 1, "frechet": 1, "sshum": 0}
+    rows = read(tmp_path / "simulate" / "study_coefficients.csv").decode().splitlines()[2:]
+    assert len(rows) == 9
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(",")[2:])
+
+
 _FRESH_RUN = """
 import sys
 from shumfit import cli

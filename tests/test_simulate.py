@@ -17,7 +17,7 @@ from shumfit import (
     true_beta_oracle,
     weibull_quantile,
 )
-from shumfit import optimize
+from shumfit import Coefficients, FitReport, optimize, simulate
 from shumfit.errors import InvalidParameter, NotPositiveDefinite, StudyAborted
 
 from oracles import gaussian_hum_exact
@@ -243,6 +243,44 @@ def test_run_study_single_replicate_warns_and_zeroes_sds():
     assert m.sd_ehum == 0.0
     assert m.coef_sd.tolist() == [0.0, 0.0, 0.0]
     assert m.n_failures == 0
+
+
+def _study_of_fits(monkeypatch, betas):
+    """A scenario-1 study whose replicate r reports ``betas[r]`` for empirical."""
+    fits = iter(betas)
+
+    def fit_each(data, methods, cfg):
+        beta = np.array(next(fits), dtype=float)
+        return {"empirical": (FitReport("empirical", Coefficients(beta), 0.5, 0.5, 0, True),
+                              0.0)}
+
+    monkeypatch.setattr(simulate, "_fit_each", fit_each)  # read in process: workers=1
+    cfg = ScenarioConfig(scenario_id=1, n=(5, 5, 5), replications=len(betas))
+    return run_study(cfg, ["empirical"], workers=1).by_method()["empirical"]
+
+
+def test_run_study_leaves_fits_without_a_ratio_out_of_the_ratio_summaries(monkeypatch):
+    # scenario 1 divides by marker 0; a fit that sets it to exactly 0 has no ratio
+    ms = _study_of_fits(monkeypatch, [(2, 1, 4), (0, 1, 0.8), (1, 3, 1), (-0.5, 1, 1)])
+    assert ms.n_ratio_undefined == 1
+    ratios = np.array([[1, 0.5, 2], [1, 3, 1], [1, -2, -2]])
+    np.testing.assert_allclose(ms.coef_mean, ratios.mean(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(ms.coef_sd, ratios.std(axis=0, ddof=1), rtol=1e-15)
+    np.testing.assert_allclose(ms.coef_bias, ms.coef_mean - true_beta_oracle(
+        ScenarioConfig(scenario_id=1, n=(5, 5, 5))).beta, rtol=1e-15)
+
+
+def test_run_study_with_fewer_than_two_ratios_reports_no_nan(monkeypatch):
+    one = _study_of_fits(monkeypatch, [(0, 1, 1), (2, 4, 1), (0, 2, 2)])
+    assert one.n_ratio_undefined == 2
+    assert one.coef_mean.tolist() == [1.0, 2.0, 0.5]
+    assert one.coef_sd.tolist() == [0.0, 0.0, 0.0]
+    assert np.isfinite(one.coef_bias).all()
+
+    none = _study_of_fits(monkeypatch, [(0, 1, 1), (0, 2, 2)])
+    assert none.n_ratio_undefined == 2
+    assert none.coef_mean is None and none.coef_sd is None and none.coef_bias is None
+    assert none.mean_ehum == 0.5 and none.n_failures == 0
 
 
 def test_run_study_counts_non_converged_fits(monkeypatch):
