@@ -7,6 +7,20 @@ with an indicator kernel; this module evaluates it exactly, either by
 brute-force enumeration (verification oracle, guarded) or by a sorted
 chain-counting dynamic program in O(sum n_j log n_j).
 
+The chain counts, for each score of category j, the correctly ordered
+chains of categories 0..j that end at it.  At the first level that is the
+number of category-0 scores below it, one ``searchsorted``; each middle level
+sums the previous level's counts below it with a prefix sum; the last level
+needs no sum, since the total is the dot product of the counts of category
+M-2 with the numbers of category-(M-1) scores above them.  For M = 3 the
+count is therefore sum(below * above) over the sorted middle category.
+
+The exact 1-D searches score the combination ``base + coef * direction`` at
+a whole grid of coefficients; :func:`ehum_on_grid` and
+:func:`min_adjacent_auc_on_grid` build those score rows in blocks, sort each
+category's rows in one call and count each row as a single point would,
+so every value equals the single-point one bit for bit.
+
 Ties count as failures throughout: the indicator is strict, no half-credit.
 """
 
@@ -22,6 +36,7 @@ from .errors import EmptyInput, InstanceTooLarge
 
 BRUTE_FORCE_LIMIT = 10**7
 _INT64_SAFE = 2**62
+_GRID_BLOCK = 1 << 16      # score elements per block of grid rows
 
 
 @dataclass(frozen=True)
@@ -69,30 +84,46 @@ def ehum_bruteforce(scores) -> HumValue:
     return HumValue(count / n_tuples, n_tuples, count)
 
 
-def ehum_fast(scores) -> HumValue:
-    """Sorted chain-counting evaluation, identical value to the brute force.
+def _ordered_count(ranked, dtype) -> int:
+    """Correctly ordered M-tuples of the ascending per-category ``ranked``.
 
-    Sort each category ascending; c_1(x) = 1; c_j(x) = sum of c_{j-1}(y) over
-    previous-category scores y < x, computed with prefix sums and a
-    searchsorted sweep.  Counts are exact integers (int64, falling back to
-    Python ints when prod(n_j) could overflow).
+    c(x), the chains ending at a score x of category j, is the number of
+    category-0 scores below x at j = 1 and the prefix sum of the previous
+    level's c below x after that; the total is the dot product of the
+    category-(M-2) counts with the category-(M-1) scores above them.
+    ``dtype`` is int64, or object (Python ints) when prod(n_j) could
+    overflow it.
     """
-    scores = _as_score_list(scores)
-    n_tuples = math.prod(s.size for s in scores)
-    dtype = object if n_tuples >= _INT64_SAFE else np.int64
-
-    prev_sorted = np.sort(scores[0])
-    c = np.ones(prev_sorted.size, dtype=dtype)
-    for j in range(1, len(scores)):
-        s = np.sort(scores[j])
+    c = np.searchsorted(ranked[0], ranked[1], side="left")
+    if len(ranked) == 2:
+        return int(c.sum(dtype=dtype))
+    c = c.astype(dtype, copy=False)
+    for prev, s in zip(ranked[1:-2], ranked[2:-1]):
         cum = np.empty(c.size + 1, dtype=dtype)
         cum[0] = 0
         cum[1:] = np.cumsum(c)
         # side="left": number of previous scores strictly below s
-        idx = np.searchsorted(prev_sorted, s, side="left")
-        c = cum[idx]
-        prev_sorted = s
-    count = int(c.sum())
+        c = cum[np.searchsorted(prev, s, side="left")]
+    last = ranked[-1]
+    above = last.size - np.searchsorted(last, ranked[-2], side="right")
+    return int(c @ above.astype(dtype, copy=False))
+
+
+def _count_dtype(n_tuples):
+    return object if n_tuples >= _INT64_SAFE else np.int64
+
+
+def ehum_fast(scores) -> HumValue:
+    """Sorted chain-counting evaluation, identical value to the brute force.
+
+    Sort each category ascending and count the ordered tuples with
+    ``searchsorted`` sweeps (see :func:`_ordered_count`).  Counts are exact
+    integers (int64, falling back to Python ints when prod(n_j) could
+    overflow).
+    """
+    scores = _as_score_list(scores)
+    n_tuples = math.prod(s.size for s in scores)
+    count = _ordered_count([np.sort(s) for s in scores], _count_dtype(n_tuples))
     return HumValue(count / n_tuples, n_tuples, count)
 
 
@@ -116,6 +147,53 @@ def adjacent_aucs(scores) -> list:
 def min_adjacent_auc(scores) -> float:
     """P_M: minimum adjacent-pair AUC (the upper bound itself)."""
     return min(adjacent_aucs(scores))
+
+
+
+def _sorted_grid_rows(base, direction, coefs):
+    """Yield, block by block, each category's score rows ``base_j + coef *
+    direction_j`` over the coefficients, sorted along each row.
+
+    Rows are formed elementwise as a single point forms them, so each equals
+    that point's scores; a block holds about ``_GRID_BLOCK`` scores.
+    """
+    base = _as_score_list(base)
+    direction = _as_score_list(direction)
+    coefs = np.asarray(coefs, dtype=float).ravel()
+    rows = max(1, _GRID_BLOCK // sum(v.size for v in base))
+    for start in range(0, coefs.size, rows):
+        block = coefs[start:start + rows, None]
+        yield [np.sort(v + block * w, axis=1) for v, w in zip(base, direction)]
+
+
+def ehum_on_grid(base, direction, coefs) -> np.ndarray:
+    """``ehum_fast([v + coef * w ...]).value`` for each coefficient, equal
+    bit for bit, with each category's rows sorted in one call per block."""
+    n_tuples = math.prod(np.size(v) for v in base)
+    dtype = _count_dtype(n_tuples)
+    values = []
+    for ranked in _sorted_grid_rows(base, direction, coefs):
+        values += [_ordered_count([r[g] for r in ranked], dtype) / n_tuples
+                   for g in range(ranked[0].shape[0])]
+    return np.array(values, dtype=float)
+
+
+def min_adjacent_auc_on_grid(base, direction, coefs) -> np.ndarray:
+    """``min_adjacent_auc([v + coef * w ...])`` for each coefficient, equal
+    bit for bit: each pair's count is taken as :func:`pairwise_auc` takes it."""
+    values = []
+    for ranked in _sorted_grid_rows(base, direction, coefs):
+        pairs = list(zip(ranked, ranked[1:]))
+        values += [
+            min(int(np.searchsorted(lo[g], hi[g], side="left").sum()) / (lo[g].size * hi[g].size)
+                for lo, hi in pairs)
+            for g in range(ranked[0].shape[0])
+        ]
+    return np.array(values, dtype=float)
+
+
+# step-down scores the grid of each 1-D search on this objective in one pass
+min_adjacent_auc.on_grid = min_adjacent_auc_on_grid
 
 
 def frechet_bounds(scores) -> tuple:

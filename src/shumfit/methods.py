@@ -24,7 +24,7 @@ from .errors import (
     ShumFitError,
     SingularCovariance,
 )
-from .hum import ehum_fast, min_adjacent_auc
+from .hum import ehum_fast, ehum_on_grid, min_adjacent_auc
 from .optimize import (
     OptimResult,
     bfgs_maximize,
@@ -93,6 +93,10 @@ def _smoothing(data: MarkerDataset, cfg: FitConfig, kernel: Kernel) -> Smoothing
 
 def _ehum_objective(scores) -> float:
     return ehum_fast(scores).value
+
+
+# step-down scores the grid of each 1-D search on this objective in one pass
+_ehum_objective.on_grid = ehum_on_grid
 
 
 def unit_norm_aligned(beta, reference=None) -> np.ndarray:
@@ -277,7 +281,8 @@ def fit_minmax(data: MarkerDataset, cfg: FitConfig = FitConfig()) -> FitReport:
     def scores(coef):
         return [hi + coef * lo for hi, lo in zip(maxima, minima)]
 
-    res = brent_maximize_1d(lambda coef: ehum_fast(scores(coef)).value)
+    res = brent_maximize_1d(lambda coef: ehum_fast(scores(coef)).value,
+                            lambda grid: ehum_on_grid(maxima, minima, grid))
     coef = float(res.argmax[0])
     return _report("minmax", scores(coef), np.array([1.0, coef]), 0,
                    iterations=res.iterations, converged=res.converged)

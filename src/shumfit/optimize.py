@@ -6,7 +6,9 @@ gradients; Nelder-Mead handles the piecewise-constant empirical objectives;
 the 1-D search runs a dense grid pre-scan (multi-modal slices are common for
 empirical HUM) before a bounded Brent refinement, transcribed here from
 scipy's ``fminbound`` with the same iterates bit for bit, so the module needs
-numpy alone.  Step-down is the greedy search the fitters start from; the
+numpy alone.  An objective that can score the whole grid in one batched
+pass (the exact HUM and the minimum adjacent AUC, see ``hum``) hands the
+search that pass; any other is scored point by point.  Step-down is the greedy search the fitters start from; the
 smoothed fits run it on the exact empirical HUM and leave the smoothed
 objective to BFGS.  Everything is deterministic: identical inputs and
 settings give bit-identical results.
@@ -334,19 +336,25 @@ def _bounded_brent(func: Callable, a, b):
     return xf, fx, num, ok
 
 
-def brent_maximize_1d(f: Callable) -> OptimResult:
+def brent_maximize_1d(f: Callable, f_grid: Optional[Callable] = None) -> OptimResult:
     """Grid pre-scan over [-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH], then Brent's
     bounded golden-section/parabolic refinement (:func:`_bounded_brent`)
     between the grid neighbours of the best grid point.
 
-    Returns the better of the refined point and the grid incumbent, so a
-    rough refinement can never lose to the scan.  Non-finite grid values are
-    excluded; if every value is non-finite the objective is rejected.
-    ``iterations`` counts the refinement's evaluations plus the grid's.
+    ``f_grid(grid)``, when given, returns ``f`` at every grid point in one
+    batched call and must equal ``f`` there; otherwise the grid is scored one
+    point at a time.  Returns the better of the refined point and the grid
+    incumbent, so a rough refinement can never lose to the scan.  Non-finite
+    grid values are excluded; if every value is non-finite the objective is
+    rejected.  ``iterations`` counts the refinement's evaluations plus the
+    grid's.
     """
     grid = np.linspace(-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH, GRID_POINTS)
     grid[GRID_POINTS // 2] = 0.0       # odd GRID_POINTS: exact 0 keeps step-down monotone
-    vals = np.array([f(x) for x in grid], dtype=float)
+    if f_grid is None:
+        vals = np.array([f(x) for x in grid], dtype=float)
+    else:
+        vals = np.asarray(f_grid(grid), dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
         raise NonFiniteObjective(grid[0])
@@ -387,8 +395,11 @@ def step_down(score_objective: Callable, data) -> StepDownResult:
     ``score_objective`` maps a list of per-category score vectors to a float.
     Ties in the individual ranking break toward the original column order.
     Each added marker's coefficient comes from the bracketed 1-D search over
-    the combined score V + coef * column.
+    the combined score V + coef * column.  An objective with an ``on_grid``
+    attribute, ``on_grid(V, column, coefs)`` giving its values at every
+    coefficient at once, has each search's grid scored in that one call.
     """
+    on_grid = getattr(score_objective, "on_grid", None)
     d = data.n_markers
     columns = [[x[:, k] for x in data.categories] for k in range(d)]
     individual = [float(score_objective(columns[k])) for k in range(d)]
@@ -408,7 +419,12 @@ def step_down(score_objective: Callable, data) -> StepDownResult:
                 [v + coef * c for v, c in zip(combined, cols)]
             )
 
-        res = brent_maximize_1d(slice_objective)
+        slice_grid = None
+        if on_grid is not None:
+            def slice_grid(grid, cols=cols):
+                return on_grid(combined, cols, grid)
+
+        res = brent_maximize_1d(slice_objective, slice_grid)
         coef = float(res.argmax[0])
         beta[k] = coef
         combined = [v + coef * c for v, c in zip(combined, cols)]
