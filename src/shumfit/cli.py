@@ -306,6 +306,8 @@ def cmd_simulate(args):
             "sd_ehum": ms.sd_ehum,
             "coef_mean": ms.coef_mean,
             "coef_sd": ms.coef_sd,
+            "coef_median": ms.coef_median,
+            "coef_iqr": ms.coef_iqr,
             "coef_bias": ms.coef_bias,
             "n_failures": ms.n_failures,
             "n_not_converged": ms.n_not_converged,

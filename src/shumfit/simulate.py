@@ -202,6 +202,8 @@ class MethodSummary:
     n_failures: int
     n_not_converged: int = 0            # fits whose polisher did not converge
     n_ratio_undefined: int = 0          # fits left out of the ratio summaries
+    coef_median: Optional[np.ndarray] = None    # None with coef_mean
+    coef_iqr: Optional[np.ndarray] = None       # 75th minus 25th percentile
     wall_clock: float = field(compare=False, default=0.0)
 
 
@@ -231,7 +233,9 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     are averaged as fitted and get no bias.  A fit whose anchor coefficient
     is exactly 0 has no ratio: the ratio summaries leave it out and count it
     as ``n_ratio_undefined``, and are None when no fit has a ratio.  SDs over
-    fewer than two values are 0.  Fits whose polisher stopped without
+    fewer than two values are 0.  Beside the mean and SD, the median and
+    interquartile range summarize the same coefficients; one fit whose anchor
+    coefficient is near 0 can decide a mean, but not a median.  Fits whose polisher stopped without
     converging still count, and are reported per method as
     ``n_not_converged``.  The R replicates run on up to ``workers``
     processes (serial by default) and are aggregated in replicate order, so
@@ -265,11 +269,14 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             defined = coefs[:, anchor] != 0.0
             n_undefined = int(np.count_nonzero(~defined))
             coefs = coefs[defined] / coefs[defined][:, anchor, None]
-        coef_mean = coef_sd = bias = None
+        coef_mean = coef_sd = bias = coef_median = coef_iqr = None
         if len(coefs):
             coef_mean = coefs.mean(axis=0)
             coef_sd = (np.std(coefs, axis=0, ddof=1) if len(coefs) > 1
                        else np.zeros_like(coef_mean))
+            coef_median = np.median(coefs, axis=0)
+            q1, q3 = np.percentile(coefs, [25, 75], axis=0)
+            coef_iqr = q3 - q1
             if truth is not None and ratio:
                 bias = coef_mean - truth
         if len(ehums) > 1:
@@ -287,6 +294,8 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
             n_failures=failures,
             n_not_converged=sum(not report.converged for report, _ in fits),
             n_ratio_undefined=n_undefined,
+            coef_median=coef_median,
+            coef_iqr=coef_iqr,
             wall_clock=sum(seconds for _, seconds in fits),
         ))
 

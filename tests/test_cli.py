@@ -338,6 +338,18 @@ def test_every_json_output_is_strict_json(tmp_path, capsys, monkeypatch):
     assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(",")[2:])
 
 
+def test_study_summary_writes_the_ratio_median_and_iqr(tmp_path, capsys):
+    args = ["simulate", "--scenario", "1", "--n", "10,10,10", "--reps", "5", "--seed", "1",
+            "--methods", "frechet,naive", "--workers", "1"]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = _strict_json(read(tmp_path / "study_summary.json").decode())["methods"]
+    cfg = cli.ScenarioConfig(scenario_id=1, n=(10, 10, 10), replications=5, master_seed=1)
+    for ms in cli.run_study(cfg, ["frechet", "naive"]).methods:
+        assert written[ms.method]["coef_median"] == ms.coef_median.tolist()
+        assert written[ms.method]["coef_iqr"] == ms.coef_iqr.tolist()
+
+
 _FRESH_RUN = """
 import sys
 from shumfit import cli

@@ -283,6 +283,29 @@ def test_run_study_with_fewer_than_two_ratios_reports_no_nan(monkeypatch):
     assert none.mean_ehum == 0.5 and none.n_failures == 0
 
 
+def test_run_study_median_is_not_moved_by_a_near_zero_anchor(monkeypatch):
+    # scenario 1 divides by marker 0: the last fit's ratios are (1, 230, 250)
+    betas = [(1, 1.0, 1.2), (2, 2.4, 2.2), (1, 0.9, 1.4), (0.5, 0.55, 0.6),
+             (1, 1.3, 1.1), (0.004, 0.92, 1.0)]
+    ms = _study_of_fits(monkeypatch, betas)
+    others = np.array([np.array(b) / b[0] for b in betas[:-1]])
+    assert ms.coef_mean[1] > others[:, 1].max()            # the outlier decides the mean
+    assert (others.min(axis=0) <= ms.coef_median).all()
+    assert (ms.coef_median <= others.max(axis=0)).all()
+    ratios = np.vstack([others, np.array(betas[-1]) / betas[-1][0]])
+    np.testing.assert_array_equal(ms.coef_median, np.median(ratios, axis=0))
+    q1, q3 = np.percentile(ratios, [25, 75], axis=0)
+    np.testing.assert_array_equal(ms.coef_iqr, q3 - q1)
+
+
+def test_run_study_reports_no_median_without_a_ratio(monkeypatch):
+    none = _study_of_fits(monkeypatch, [(0, 1, 1), (0, 2, 2)])
+    assert none.coef_median is None and none.coef_iqr is None
+    one = _study_of_fits(monkeypatch, [(0, 1, 1), (2, 4, 1)])
+    assert one.coef_median.tolist() == [1.0, 2.0, 0.5]
+    assert one.coef_iqr.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_run_study_counts_non_converged_fits(monkeypatch):
     cfg = ScenarioConfig(scenario_id=1, n=(20, 20, 20), replications=2)
     with monkeypatch.context() as mp:
