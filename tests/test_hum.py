@@ -13,6 +13,9 @@ from shumfit import (
     random_guess_baseline,
 )
 from shumfit.errors import EmptyInput, InstanceTooLarge
+import shumfit.hum as hum
+from shumfit.hum import ehum_on_grid, min_adjacent_auc, min_adjacent_auc_on_grid
+from shumfit.optimize import BRENT_HALF_WIDTH, GRID_POINTS
 
 from oracles import ehum_tuple_loop, mann_whitney_strict, random_scores
 
@@ -131,3 +134,71 @@ def test_frechet_collapses_to_auc_for_two_categories():
     lower, upper = frechet_bounds(scores)
     auc = pairwise_auc(*scores)
     assert lower == upper == auc
+
+
+@given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=2, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_chain_count_equals_tuple_loop_on_integer_scores(scores):
+    # small integer scores: most tuples hold a tie somewhere
+    got = ehum_fast([np.array(s, dtype=float) for s in scores])
+    assert (got.count, got.n_tuples) == ehum_tuple_loop(scores)
+
+
+def _search_grid():
+    grid = np.linspace(-BRENT_HALF_WIDTH, BRENT_HALF_WIDTH, GRID_POINTS)
+    grid[GRID_POINTS // 2] = 0.0
+    return grid
+
+
+def _grid_case(rng, sizes):
+    """Tie-heavy base and direction scores (one decimal) of the given sizes."""
+    base = [np.round(rng.normal(0.4 * j, 1.0, size=n), 1) for j, n in enumerate(sizes)]
+    direction = [np.round(rng.normal(size=n), 1) for n in sizes]
+    return base, direction
+
+
+def _pointwise(objective, base, direction, grid):
+    return np.array([objective([v + c * w for v, w in zip(base, direction)])
+                     for c in grid])
+
+
+GRID_SIZES = [(4, 7), (5, 1, 6), (3, 8, 2, 5), (6, 4, 5, 3, 7), (30, 25, 40)]
+
+
+@pytest.mark.parametrize("sizes", GRID_SIZES)
+def test_grid_values_equal_the_point_loop(sizes):
+    grid = _search_grid()
+    for seed in range(5):
+        base, direction = _grid_case(np.random.default_rng(seed), sizes)
+        ehum = ehum_on_grid(base, direction, grid)
+        assert ehum.tolist() == _pointwise(
+            lambda s: ehum_fast(s).value, base, direction, grid).tolist()
+        auc = min_adjacent_auc_on_grid(base, direction, grid)
+        assert auc.tolist() == _pointwise(min_adjacent_auc, base, direction, grid).tolist()
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 40, 100])
+def test_grid_values_do_not_depend_on_the_row_blocks(monkeypatch, rows_per_block):
+    sizes = (6, 4, 5, 3)
+    base, direction = _grid_case(np.random.default_rng(11), sizes)
+    grid = _search_grid()
+    whole = (ehum_on_grid(base, direction, grid).tolist(),
+             min_adjacent_auc_on_grid(base, direction, grid).tolist())
+    assert GRID_POINTS * sum(sizes) <= hum._GRID_BLOCK         # one block by default
+    monkeypatch.setattr(hum, "_GRID_BLOCK", rows_per_block * sum(sizes))
+    blocked = (ehum_on_grid(base, direction, grid).tolist(),
+               min_adjacent_auc_on_grid(base, direction, grid).tolist())
+    assert blocked == whole
+    assert whole[0] == _pointwise(lambda s: ehum_fast(s).value, base, direction, grid).tolist()
+
+
+def test_grid_values_on_the_python_int_path():
+    sizes = (120, 125, 121, 130, 122, 124, 126, 123, 127)
+    assert math.prod(sizes) >= hum._INT64_SAFE
+    rng = np.random.default_rng(5)
+    base = [np.round(rng.normal(2.0 * j, 1.0, size=n), 1) for j, n in enumerate(sizes)]
+    direction = [np.round(rng.normal(size=n), 1) for n in sizes]
+    grid = _search_grid()[::10]
+    got = ehum_on_grid(base, direction, grid)
+    assert got.tolist() == _pointwise(lambda s: ehum_fast(s).value, base, direction, grid).tolist()
+    assert got.max() > 0.0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shumfit.methods as methods
+import shumfit.optimize as optimize
 import shumfit.smooth as smooth
 from shumfit import cli
 from shumfit import (
@@ -170,6 +171,33 @@ def test_smoothed_polish_makes_one_chain_pass_per_evaluation(monkeypatch):
     res = polish_bfgs(data, spec, np.array([1.0, 8.0, -8.0]), 0)
     assert len(evaluations) > res.iterations + 1     # some trial step was rejected
     assert len(passes) == len(evaluations)
+
+
+@pytest.mark.parametrize("m, sizes, d", [(2, (9, 7), 3), (3, (12, 10, 11), 3),
+                                          (4, (8, 11, 7, 10), 2), (5, (6, 5, 7, 4, 6), 3)])
+def test_batched_grid_searches_match_the_point_loop(monkeypatch, m, sizes, d):
+    # every 1-D search given a batched grid returns what the point loop returns
+    rng = np.random.default_rng(m)
+    data = make_dataset(rng, m=m, sizes=sizes, d=d, spread=0.5)
+    data = MarkerDataset(tuple(np.round(x, 1) for x in data.categories),
+                         data.marker_names, data.category_labels)
+    original = methods.brent_maximize_1d
+    batched = []
+
+    def both(f, f_grid=None):
+        res = original(f, f_grid)
+        loop = original(f)
+        assert res.argmax.tolist() == loop.argmax.tolist()
+        assert (res.value, res.iterations) == (loop.value, loop.iterations)
+        batched.append(f_grid is not None)
+        return res
+
+    monkeypatch.setattr(methods, "brent_maximize_1d", both)
+    monkeypatch.setattr(optimize, "brent_maximize_1d", both)
+    step_down(methods._ehum_objective, data)
+    step_down(min_adjacent_auc, data)
+    fit_minmax(data)
+    assert batched == [True] * (2 * (d - 1) + 1)
 
 
 def test_a_fitting_loop_runs_one_step_down_per_objective(monkeypatch, tmp_path):
