@@ -419,12 +419,10 @@ def step_down(score_objective: Callable, data) -> StepDownResult:
                 [v + coef * c for v, c in zip(combined, cols)]
             )
 
-        slice_grid = None
-        if on_grid is not None:
-            def slice_grid(grid, cols=cols):
-                return on_grid(combined, cols, grid)
+        def slice_grid(grid, cols=cols):
+            return on_grid(combined, cols, grid)
 
-        res = brent_maximize_1d(slice_objective, slice_grid)
+        res = brent_maximize_1d(slice_objective, None if on_grid is None else slice_grid)
         coef = float(res.argmax[0])
         beta[k] = coef
         combined = [v + coef * c for v, c in zip(combined, cols)]
