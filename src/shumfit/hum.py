@@ -149,7 +149,6 @@ def min_adjacent_auc(scores) -> float:
     return min(adjacent_aucs(scores))
 
 
-
 def _sorted_grid_rows(base, direction, coefs):
     """Yield, block by block, each category's score rows ``base_j + coef *
     direction_j`` over the coefficients, sorted along each row.
@@ -183,10 +182,10 @@ def min_adjacent_auc_on_grid(base, direction, coefs) -> np.ndarray:
     bit for bit: each pair's count is taken as :func:`pairwise_auc` takes it."""
     values = []
     for ranked in _sorted_grid_rows(base, direction, coefs):
-        pairs = list(zip(ranked, ranked[1:]))
+        pairs = [(lo, hi, lo.shape[1] * hi.shape[1]) for lo, hi in zip(ranked, ranked[1:])]
         values += [
-            min(int(np.searchsorted(lo[g], hi[g], side="left").sum()) / (lo[g].size * hi[g].size)
-                for lo, hi in pairs)
+            min(int(np.searchsorted(lo[g], hi[g], side="left").sum()) / n_pairs
+                for lo, hi, n_pairs in pairs)
             for g in range(ranked[0].shape[0])
         ]
     return np.array(values, dtype=float)

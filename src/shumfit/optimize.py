@@ -8,10 +8,10 @@ empirical HUM) before a bounded Brent refinement, transcribed here from
 scipy's ``fminbound`` with the same iterates bit for bit, so the module needs
 numpy alone.  An objective that can score the whole grid in one batched
 pass (the exact HUM and the minimum adjacent AUC, see ``hum``) hands the
-search that pass; any other is scored point by point.  Step-down is the greedy search the fitters start from; the
-smoothed fits run it on the exact empirical HUM and leave the smoothed
-objective to BFGS.  Everything is deterministic: identical inputs and
-settings give bit-identical results.
+search that pass; any other is scored point by point.  Step-down is the
+greedy search the fitters start from; the smoothed fits run it on the exact
+empirical HUM and leave the smoothed objective to BFGS.  Everything is
+deterministic: identical inputs and settings give bit-identical results.
 
 Every setting is a module constant, read when a routine is called:
 MAX_ITERATIONS (BFGS and each Nelder-Mead run); GRAD_TOL, REL_OBJ_TOL,

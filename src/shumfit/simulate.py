@@ -235,9 +235,9 @@ def run_study(cfg: ScenarioConfig, methods: Sequence[str],
     as ``n_ratio_undefined``, and are None when no fit has a ratio.  SDs over
     fewer than two values are 0.  Beside the mean and SD, the median and
     interquartile range summarize the same coefficients; one fit whose anchor
-    coefficient is near 0 can decide a mean, but not a median.  Fits whose polisher stopped without
-    converging still count, and are reported per method as
-    ``n_not_converged``.  The R replicates run on up to ``workers``
+    coefficient is near 0 can decide a mean, but not a median.  Fits whose
+    polisher stopped without converging still count, and are reported per
+    method as ``n_not_converged``.  The R replicates run on up to ``workers``
     processes (serial by default) and are aggregated in replicate order, so
     the worker count cannot change results.  More than 5% failed (replicate,
     method) fits aborts the study.

@@ -193,12 +193,16 @@ def test_grid_values_do_not_depend_on_the_row_blocks(monkeypatch, rows_per_block
 
 
 def test_grid_values_on_the_python_int_path():
-    sizes = (120, 125, 121, 130, 122, 124, 126, 123, 127)
-    assert math.prod(sizes) >= hum._INT64_SAFE
+    # prod(n_j) > 2**64; at coef 0 the categories are separated, so every
+    # tuple is ordered, a count that int64 cannot hold
+    sizes = (150, 155, 151, 160, 152, 154, 156, 153, 157)
+    assert math.prod(sizes) > 2**64
     rng = np.random.default_rng(5)
-    base = [np.round(rng.normal(2.0 * j, 1.0, size=n), 1) for j, n in enumerate(sizes)]
+    base = [np.round(rng.normal(50.0 * j, 1.0, size=n), 1) for j, n in enumerate(sizes)]
     direction = [np.round(rng.normal(size=n), 1) for n in sizes]
     grid = _search_grid()[::10]
     got = ehum_on_grid(base, direction, grid)
-    assert got.tolist() == _pointwise(lambda s: ehum_fast(s).value, base, direction, grid).tolist()
-    assert got.max() > 0.0
+    point = _pointwise(lambda s: ehum_fast(s).value, base, direction, grid)
+    assert got.tolist() == point.tolist()
+    assert got[grid == 0.0].tolist() == [1.0]
+    assert 0.0 < got.min() < 1.0
